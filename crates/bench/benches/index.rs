@@ -46,7 +46,7 @@ fn corpus(n_tasks: usize, n_workers: usize, seed: u64) -> Corpus {
 
 fn build_index(c: &Corpus) -> InvertedIndex {
     let pairs: Vec<(u32, &KeywordVec)> = c.tasks.iter().map(|t| (t.id.0, &t.keywords)).collect();
-    InvertedIndex::build(c.nbits, &pairs, hta_index::par::default_threads())
+    InvertedIndex::build(c.nbits, &pairs, hta_par::default_threads())
 }
 
 /// Index build, top-k query, and pool generation at 1k / 10k / 100k tasks.
@@ -131,15 +131,13 @@ fn bench_sharded(c: &mut Criterion) {
             .map(|(i, v)| (i as u32, v))
             .collect();
         group.bench_with_input(BenchmarkId::new("build-flat", n), &pairs, |b, p| {
-            b.iter(|| {
-                black_box(InvertedIndex::build(nbits, p, hta_index::par::default_threads()).len())
-            })
+            b.iter(|| black_box(InvertedIndex::build(nbits, p, hta_par::default_threads()).len()))
         });
         group.bench_with_input(BenchmarkId::new("build-sharded", n), &pairs, |b, p| {
             b.iter(|| black_box(ShardedIndex::build(nbits, p, 0).len()))
         });
 
-        let flat = InvertedIndex::build(nbits, &pairs, hta_index::par::default_threads());
+        let flat = InvertedIndex::build(nbits, &pairs, hta_par::default_threads());
         let sharded = ShardedIndex::build(nbits, &pairs, 0);
         let workers = synthetic_vecs(16, nbits, 6, 10, 0xD4);
         group.bench_with_input(BenchmarkId::new("topk16-flat", n), &workers, |b, ws| {
@@ -193,12 +191,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
             let index = build_index(c);
             let pool = CandidatePool::generate(&index, &c.workers, xmax, &PoolParams::with_k(16));
             let built = pool
-                .build_instance(
-                    &c.tasks,
-                    &c.workers,
-                    xmax,
-                    hta_index::par::default_threads(),
-                )
+                .build_instance(&c.tasks, &c.workers, xmax, hta_par::default_threads())
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             black_box(

@@ -1,7 +1,7 @@
 //! `hta-loadgen` — HTTP load generator for the platform service.
 //!
 //! ```text
-//! hta-loadgen [--addr HOST:PORT | --topology A:P,B:P,... | --spawn ...]
+//! hta-loadgen [--addr HOST:PORT | --topology A:P,B:P,...]
 //!             [--conns K] [--duration-secs S] [--mode closed|open]
 //!             [--pipeline D] [--endpoint PATH] [--method M]
 //!             [--listen-threads N] [--solver-pool N]
@@ -20,12 +20,10 @@
 //! per-target breakdown (req/s, latency quantiles, status counts per
 //! address) alongside the combined totals.
 //!
-//! With `--spawn both` (the default when no `--addr` is given) it starts the
-//! epoll-reactor server and the legacy thread-per-connection server in turn
-//! over the same generated corpus, runs an identical load against each, and
-//! writes the comparison to `BENCH_server.json`. Servers that close the
-//! connection after a response (the legacy baseline has no keep-alive) are
-//! handled by transparent reconnects, which are counted in the report.
+//! Without `--addr` or `--topology` it starts the epoll-reactor server over
+//! a generated corpus, runs the load against it, and writes the report to
+//! `BENCH_server.json`. Responses that close the connection are handled by
+//! transparent reconnects, which are counted in the report.
 
 use std::io::{self, BufReader, Write as IoWrite};
 use std::net::TcpStream;
@@ -34,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hta_net::client;
-use hta_server::{LegacyServer, PlatformState, ServeOptions, Server};
+use hta_server::{PlatformState, ServeOptions, Server};
 
 #[derive(Clone)]
 struct LoadConfig {
@@ -162,9 +160,9 @@ fn drive_connection(addr: &str, cfg: &LoadConfig, stop: &AtomicBool) -> LoadRepo
             while in_flight.len() < cfg.pipeline && !stop.load(Ordering::Relaxed) {
                 // Stamp at write start: per-request latency spans the
                 // request write through response completion, and never the
-                // TCP connect that preceded it — the legacy baseline
-                // reconnects per request, and its handshake cost is
-                // reported via `reconnects`, not smuggled into p99.
+                // TCP connect that preceded it — a server that closes the
+                // connection makes the client reconnect, and that handshake
+                // cost is reported via `reconnects`, not smuggled into p99.
                 let sent = Instant::now();
                 match stream.write_all(&wire) {
                     Ok(()) => in_flight.push_back(sent),
@@ -277,7 +275,6 @@ fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> 
 fn main() -> io::Result<()> {
     let mut addr: Option<String> = None;
     let mut topology: Vec<String> = Vec::new();
-    let mut spawn = "both".to_owned();
     let mut opts = ServeOptions::default();
     let mut json_path = "BENCH_server.json".to_owned();
     let mut fail_on_5xx = false;
@@ -306,7 +303,6 @@ fn main() -> io::Result<()> {
                     std::process::exit(2);
                 }
             }
-            "--spawn" => spawn = parse_flag_value(&arg, args.next()),
             "--conns" => cfg.conns = parse_flag_value(&arg, args.next()),
             "--duration-secs" => {
                 cfg.duration = Duration::from_secs(parse_flag_value(&arg, args.next()))
@@ -370,30 +366,15 @@ fn main() -> io::Result<()> {
             sections.push(("target".to_owned(), run_load(&addr, &cfg)));
         }
         None => {
-            if spawn == "reactor" || spawn == "both" {
-                let server =
-                    Server::spawn_with("127.0.0.1:0", Arc::new(corpus_state()), opts.clone())
-                        .expect("spawn reactor server");
-                let addr = server.addr().to_string();
-                println!(
-                    "reactor: {} conns, {:?}, pipeline {} -> {addr}",
-                    cfg.conns, cfg.duration, cfg.pipeline
-                );
-                sections.push(("reactor".to_owned(), run_load(&addr, &cfg)));
-                server.shutdown();
-            }
-            if spawn == "legacy" || spawn == "both" {
-                let server = LegacyServer::spawn("127.0.0.1:0", Arc::new(corpus_state()))
-                    .expect("spawn legacy server");
-                let addr = server.addr().to_string();
-                println!("legacy: {} conns, {:?} -> {addr}", cfg.conns, cfg.duration);
-                sections.push(("legacy".to_owned(), run_load(&addr, &cfg)));
-                server.shutdown();
-            }
-            if sections.is_empty() {
-                eprintln!("error: --spawn must be reactor, legacy, or both");
-                std::process::exit(2);
-            }
+            let server = Server::spawn_with("127.0.0.1:0", Arc::new(corpus_state()), opts.clone())
+                .expect("spawn reactor server");
+            let addr = server.addr().to_string();
+            println!(
+                "reactor: {} conns, {:?}, pipeline {} -> {addr}",
+                cfg.conns, cfg.duration, cfg.pipeline
+            );
+            sections.push(("reactor".to_owned(), run_load(&addr, &cfg)));
+            server.shutdown();
         }
     }
 
@@ -454,14 +435,6 @@ fn main() -> io::Result<()> {
             obj.push_str(&format!("\"{address}\":{}", report.to_json()));
         }
         json.push_str(&format!(",\"targets\":{{{obj}}}"));
-    }
-    if let (Some(r), Some(l)) = (
-        sections.iter().find(|(n, _)| n == "reactor"),
-        sections.iter().find(|(n, _)| n == "legacy"),
-    ) {
-        let speedup = r.1.rps() / l.1.rps().max(1e-9);
-        println!("speedup (reactor vs legacy): {speedup:.2}x requests/sec");
-        json.push_str(&format!(",\"speedup_rps\":{speedup:.2}"));
     }
     json.push('}');
     std::fs::write(&json_path, format!("{json}\n"))?;

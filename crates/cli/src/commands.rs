@@ -184,8 +184,7 @@ pub fn solve(args: &Args) -> CmdResult {
                 tasks.len(),
                 pool.topk_hits()
             );
-            let built =
-                pool.build_instance(&tasks, &workers, xmax, hta_index::par::default_threads())?;
+            let built = pool.build_instance(&tasks, &workers, xmax, hta_par::default_threads())?;
             (built.instance, Some(built.catalog_ids))
         }
     };
@@ -338,7 +337,7 @@ fn print_repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) {
         fmt_auto(cfg.platform.index_shards, hta_index::default_shards()),
         fmt_auto(
             cfg.platform.solver_threads,
-            hta_index::par::solver_threads(0)
+            hta_par::solver_threads(0)
         ),
         cfg.platform.candidates,
         if cfg.platform.warm_start { "on" } else { "off" },
@@ -596,22 +595,19 @@ struct ClusterNode {
 }
 
 /// Plan the process topology of `hta cluster` as pure data, so the layout
-/// (ports, join/redirect wiring, shard indices) is testable without
-/// spawning anything. Port layout on `host`: the primary serves HTTP on
-/// `base_port` and replication on `repl_port`; replicas take the next
-/// `replicas` ports; shard workers follow after the replicas.
+/// (ports, join/redirect wiring) is testable without spawning anything.
+/// Port layout on `host`: the primary serves HTTP on `base_port` and
+/// replication on `repl_port`; replicas take the next `replicas` ports.
 fn plan_cluster(
     host: &str,
     base_port: u16,
     repl_port: u16,
     replicas: u16,
-    shard_workers: u16,
     tasks: Option<&str>,
     journal_dir: Option<&str>,
 ) -> Vec<ClusterNode> {
     let http = |offset: u16| format!("{host}:{}", base_port + offset);
     let repl = format!("{host}:{repl_port}");
-    let shard_addrs: Vec<String> = (0..shard_workers).map(|j| http(1 + replicas + j)).collect();
 
     let mut nodes = Vec::new();
     let mut primary_argv = vec![http(0), "--role".into(), "primary".into()];
@@ -619,55 +615,31 @@ fn plan_cluster(
         primary_argv.insert(1, t.to_owned());
     }
     primary_argv.extend(["--repl-listen".into(), repl.clone()]);
-    if !shard_addrs.is_empty() {
-        primary_argv.extend(["--shard-workers".into(), shard_addrs.join(",")]);
-    }
     nodes.push(ClusterNode {
         role: "primary",
         http: http(0),
         argv: primary_argv,
     });
 
-    let follower_tail = |journal_name: String| -> Vec<String> {
-        let mut tail = vec![
+    for i in 0..replicas {
+        let mut argv = vec![
+            http(1 + i),
+            "--role".into(),
+            "replica".into(),
             "--join".into(),
             repl.clone(),
             "--primary-http".into(),
             http(0),
         ];
         if let Some(dir) = journal_dir {
-            tail.extend([
+            argv.extend([
                 "--journal".into(),
-                format!("{}/{journal_name}.journal", dir.trim_end_matches('/')),
+                format!("{}/replica-{i}.journal", dir.trim_end_matches('/')),
             ]);
         }
-        tail
-    };
-    for i in 0..replicas {
-        let mut argv = vec![http(1 + i), "--role".into(), "replica".into()];
-        argv.extend(follower_tail(format!("replica-{i}")));
         nodes.push(ClusterNode {
             role: "replica",
             http: http(1 + i),
-            argv,
-        });
-    }
-    for j in 0..shard_workers {
-        let mut argv = vec![
-            shard_addrs[j as usize].clone(),
-            "--role".into(),
-            "shard-worker".into(),
-        ];
-        argv.extend(follower_tail(format!("shard-{j}")));
-        argv.extend([
-            "--shard-index".into(),
-            j.to_string(),
-            "--shard-count".into(),
-            shard_workers.to_string(),
-        ]);
-        nodes.push(ClusterNode {
-            role: "shard-worker",
-            http: shard_addrs[j as usize].clone(),
             argv,
         });
     }
@@ -700,8 +672,8 @@ fn server_binary(args: &Args) -> Result<std::path::PathBuf, Box<dyn Error>> {
     }
 }
 
-/// `hta cluster` — launch a local primary/replica (and optionally
-/// shard-worker) cluster as child processes and supervise them.
+/// `hta cluster` — launch a local primary/replica cluster as child
+/// processes and supervise them.
 ///
 /// The launcher spawns every node at once: followers retry their initial
 /// `--join` fetch until the primary's replication listener is up, so no
@@ -713,7 +685,6 @@ pub fn cluster(args: &Args) -> CmdResult {
     args.no_positionals()?;
     args.reject_unknown(&[
         "replicas",
-        "shard-workers",
         "host",
         "base-port",
         "repl-port",
@@ -722,14 +693,11 @@ pub fn cluster(args: &Args) -> CmdResult {
         "server-bin",
     ])?;
     let replicas: u16 = args.get_or("replicas", 2)?;
-    let shard_workers: u16 = args.get_or("shard-workers", 0)?;
     let host: String = args.get_or("host", "127.0.0.1".to_owned())?;
     let base_port: u16 = args.get_or("base-port", 8080)?;
     let repl_port: u16 = args.get_or("repl-port", 7171)?;
-    if replicas == 0 && shard_workers == 0 {
-        return Err("nothing to launch besides the primary: \
-                    set --replicas and/or --shard-workers"
-            .into());
+    if replicas == 0 {
+        return Err("nothing to launch besides the primary: set --replicas".into());
     }
     let tasks = args.get("tasks");
     if let Some(t) = tasks {
@@ -742,15 +710,7 @@ pub fn cluster(args: &Args) -> CmdResult {
         std::fs::create_dir_all(dir)?;
     }
     let bin = server_binary(args)?;
-    let plan = plan_cluster(
-        &host,
-        base_port,
-        repl_port,
-        replicas,
-        shard_workers,
-        tasks,
-        journal_dir,
-    );
+    let plan = plan_cluster(&host, base_port, repl_port, replicas, tasks, journal_dir);
 
     let mut children: Vec<(std::process::Child, &ClusterNode)> = Vec::new();
     for node in &plan {
@@ -1019,17 +979,10 @@ mod tests {
 
     #[test]
     fn cluster_plan_wires_roles_ports_and_shards() {
-        let plan = plan_cluster("127.0.0.1", 9000, 9100, 2, 2, None, Some("/tmp/j/"));
-        assert_eq!(plan.len(), 5);
+        let plan = plan_cluster("127.0.0.1", 9000, 9100, 2, None, Some("/tmp/j/"));
+        assert_eq!(plan.len(), 3);
         assert_eq!(plan[0].role, "primary");
         assert_eq!(plan[0].argv[0], "127.0.0.1:9000");
-        // The primary knows every shard worker's HTTP address.
-        let sw = plan[0]
-            .argv
-            .windows(2)
-            .find(|w| w[0] == "--shard-workers")
-            .expect("primary lists shard workers");
-        assert_eq!(sw[1], "127.0.0.1:9003,127.0.0.1:9004");
 
         for (i, node) in plan[1..3].iter().enumerate() {
             assert_eq!(node.role, "replica");
@@ -1046,24 +999,10 @@ mod tests {
                 );
             }
         }
-        for (j, node) in plan[3..].iter().enumerate() {
-            assert_eq!(node.role, "shard-worker");
-            for pair in [
-                ["--shard-index", &j.to_string()[..]],
-                ["--shard-count", "2"],
-                ["--join", "127.0.0.1:9100"],
-            ] {
-                assert!(
-                    node.argv.windows(2).any(|w| w == pair),
-                    "shard {j} missing {pair:?}: {:?}",
-                    node.argv
-                );
-            }
-        }
 
         // No journal dir → no --journal flags; tasks ride as the primary's
         // second positional only.
-        let plan = plan_cluster("h", 1, 2, 1, 0, Some("t.csv"), None);
+        let plan = plan_cluster("h", 1, 2, 1, Some("t.csv"), None);
         assert!(plan
             .iter()
             .all(|n| !n.argv.iter().any(|a| a == "--journal")));

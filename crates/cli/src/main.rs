@@ -59,12 +59,12 @@ COMMANDS:
              hta resume <snapshot-or-dir> [--checkpoint-every N
                --checkpoint-dir DIR --checkpoint-keep K --halt-after N]
   cluster    Launch a local replicated serving cluster (DESIGN.md §14):
-             one primary plus read replicas and optional shard workers,
-             spawned as hta-serve child processes and supervised until
-             any node exits (Ctrl-C stops them all gracefully)
-             --replicas N (2)   --shard-workers S (0)
+             one primary plus read replicas, spawned as hta-serve child
+             processes and supervised until any node exits (Ctrl-C stops
+             them all gracefully)
+             --replicas N (2)
              --host H (127.0.0.1)  --base-port P (8080)  — primary on P,
-               replicas on P+1.., shard workers after the replicas
+               replicas on P+1..
              --repl-port R (7171)  — the primary's replication stream
              --tasks FILE  — task CSV served by the primary (optional)
              --journal-dir DIR  — per-follower delta journals, so a

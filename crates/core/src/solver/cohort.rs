@@ -53,18 +53,14 @@ pub fn solve_open_subset(
     }
 }
 
-/// Merge per-shard candidate pools (each a list of catalog indices) into
+/// Merge several candidate pools (each a list of catalog indices) into
 /// one joint open subset in the form [`solve_open_subset`] requires:
 /// strictly increasing, duplicates collapsed.
 ///
-/// This is the coordinator's entry point for sharded candidate
-/// generation: each shard worker proposes the open tasks it owns, the
-/// primary unions the proposals and runs **one** joint solve over the
-/// merged subset, so assignment decisions stay centralized while
-/// retrieval scales out. Pool membership is a set — input order carries
-/// no information — so any partition of the same candidates merges to the
-/// same subset and the downstream solve is byte-identical to a
-/// single-process run over that pool.
+/// Pool membership is a set — input order carries no information — so any
+/// partition of the same candidates merges to the same subset and the
+/// downstream **one** joint solve is byte-identical to a solve over the
+/// unpartitioned pool.
 pub fn merge_open_subsets(pools: &[Vec<usize>]) -> Vec<usize> {
     let mut merged: Vec<usize> = pools.iter().flatten().copied().collect();
     merged.sort_unstable();

@@ -3,8 +3,6 @@
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::KeywordVec;
 
-use crate::par;
-
 /// Sentinel in `doc_len` marking a task that is not in the index.
 pub(crate) const ABSENT: u32 = u32::MAX;
 
@@ -105,7 +103,7 @@ impl InvertedIndex {
             return (index, skipped);
         }
         // Phase 1 (parallel): per-chunk partial posting lists.
-        let partials: Vec<Vec<Vec<u32>>> = par::map_chunks(tasks, threads, |chunk| {
+        let partials: Vec<Vec<Vec<u32>>> = hta_par::map_chunks(tasks, threads, |chunk| {
             let mut postings = vec![Vec::new(); nbits];
             for &(id, kw) in chunk {
                 for bit in kw.iter_ones() {

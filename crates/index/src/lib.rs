@@ -19,9 +19,6 @@
 //! * [`CandidatePool`] — unions per-worker top-k sets, fills up to the
 //!   feasibility floor `|W| · X_max` with coverage-seeded diverse tasks, and
 //!   builds a pool-local [`hta_core::Instance`] with a back-to-catalog map;
-//! * [`par`] — std-only chunked `std::thread::scope` helpers used for bulk
-//!   index construction and the pool instance's diversity cache (the
-//!   dependency policy rules out a thread-pool crate);
 //! * [`SparseCandidateGenerator`] — plugs the whole pipeline into
 //!   [`hta_core::IterationEngine`] via the
 //!   [`hta_core::CandidateGenerator`] hook.
@@ -33,8 +30,6 @@
 
 pub mod inverted;
 pub mod maintainer;
-pub mod merge;
-pub mod par;
 pub mod pool;
 pub mod sharded;
 pub mod traits;
@@ -44,7 +39,6 @@ mod engine;
 pub use engine::SparseCandidateGenerator;
 pub use inverted::InvertedIndex;
 pub use maintainer::{PoolDelta, PoolMaintainer};
-pub use merge::merge_topk;
 pub use pool::{CandidateMode, CandidatePool, PoolParams};
 pub use sharded::{default_shards, ShardedIndex};
 pub use traits::TaskIndex;

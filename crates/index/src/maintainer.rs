@@ -36,9 +36,9 @@
 //!   maintenance work tracks churn.
 //!
 //! Pool assembly then feeds the maintained lists through
-//! [`CandidatePool::from_worker_topk`] — the same entry point the cluster
-//! coordinator uses — so the resulting pool is byte-identical to
-//! [`CandidatePool::generate`] over the same index state.
+//! [`CandidatePool::from_worker_topk`] — the same entry point
+//! [`CandidatePool::generate`] ends in — so the resulting pool is
+//! byte-identical to `generate` over the same index state.
 
 use std::collections::HashMap;
 

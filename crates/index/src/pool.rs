@@ -17,7 +17,6 @@ use std::str::FromStr;
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::{HtaError, Instance, Task, TaskId, Worker, WorkerId};
 
-use crate::par;
 use crate::traits::TaskIndex;
 
 /// How the assignment path selects the tasks handed to the solver.
@@ -118,7 +117,7 @@ impl Default for PoolParams {
     fn default() -> Self {
         Self {
             per_worker_k: CandidateMode::DEFAULT_K,
-            threads: par::default_threads(),
+            threads: hta_par::default_threads(),
             shards: 0,
         }
     }
@@ -179,16 +178,15 @@ impl CandidatePool {
     }
 
     /// Generate a pool from **pre-computed** per-worker top-k lists — the
-    /// entry point for the cluster coordinator, which retrieves each list
-    /// from shard workers ([`crate::merge_topk`] over per-shard results)
-    /// instead of the local index. `index` still drives diversity seeding
-    /// and the feasibility floor.
+    /// entry point for the [`crate::PoolMaintainer`], which keeps each list
+    /// live under churn instead of querying the index per solve. `index`
+    /// still drives diversity seeding and the feasibility floor.
     ///
     /// Pool membership depends only on the *set* of retrieved tasks (the
     /// union is first-seen but members are sorted before use, and seeding
     /// scores depend only on pool keyword counts), so feeding lists that
-    /// are element-wise equal to the local `index.top_k` output — which the
-    /// shard merge guarantees — yields a byte-identical pool.
+    /// are element-wise equal to the local `index.top_k` output yields a
+    /// byte-identical pool.
     pub fn from_worker_topk<I: TaskIndex>(
         index: &I,
         topk_lists: &[Vec<(u32, f64)>],

@@ -30,7 +30,6 @@ use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::KeywordVec;
 
 use crate::inverted::{dedup_first_occurrences, InvertedIndex, PostingRef, ABSENT};
-use crate::par;
 
 /// Below this many candidate postings a query accumulates sequentially:
 /// scoped-thread spawns cost tens of microseconds, which dominates small
@@ -57,7 +56,7 @@ pub fn default_shards() -> usize {
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(par::default_threads)
+        .unwrap_or_else(hta_par::default_threads)
 }
 
 /// One contiguous keyword range `[lo, lo + postings.len())` with its own
@@ -227,7 +226,7 @@ impl ShardedIndex {
         tasks: &[(u32, &KeywordVec)],
         shards: usize,
     ) -> (Self, usize) {
-        Self::build_counting_with_threads(nbits, tasks, shards, par::default_threads())
+        Self::build_counting_with_threads(nbits, tasks, shards, hta_par::default_threads())
     }
 
     /// [`ShardedIndex::build_counting`] with an explicit build-thread

@@ -44,28 +44,6 @@ pub fn request_bytes(method: &str, target: &str, keep_alive: bool) -> Vec<u8> {
     format!("{method} {target} HTTP/1.1\r\nHost: hta\r\n{connection}\r\n").into_bytes()
 }
 
-/// Serialize a request carrying a binary-safe body. A `Content-Length`
-/// header frames the body exactly; the bytes are appended untouched.
-pub fn request_bytes_with_body(
-    method: &str,
-    target: &str,
-    keep_alive: bool,
-    body: &[u8],
-) -> Vec<u8> {
-    let connection = if keep_alive {
-        ""
-    } else {
-        "Connection: close\r\n"
-    };
-    let mut out = format!(
-        "{method} {target} HTTP/1.1\r\nHost: hta\r\n{connection}Content-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
-    out.extend_from_slice(body);
-    out
-}
-
 /// Read one response off a buffered stream. Blocks until the status line,
 /// headers, and body have arrived. The body is sized by `Content-Length`
 /// when present; a `Connection: close` response without one is read to EOF
@@ -191,23 +169,6 @@ mod tests {
         let resp = read_response(&mut reader).unwrap();
         assert_eq!(resp.status, 204);
         assert!(resp.body.is_empty());
-    }
-
-    #[test]
-    fn body_request_is_binary_safe_and_length_framed() {
-        let body = [0u8, 1, 2, 255, 13, 10, 0];
-        let wire = request_bytes_with_body("POST", "/delta", true, &body);
-        let header_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        let head = std::str::from_utf8(&wire[..header_end]).unwrap();
-        assert!(head.starts_with("POST /delta HTTP/1.1\r\n"));
-        assert!(head.contains(&format!("Content-Length: {}\r\n", body.len())));
-        assert!(!head.contains("Connection: close"));
-        assert_eq!(&wire[header_end..], &body);
-
-        let close = request_bytes_with_body("POST", "/y", false, b"x");
-        assert!(std::str::from_utf8(&close[..close.len() - 1])
-            .unwrap()
-            .contains("Connection: close\r\n"));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! These helpers started life inside `hta-index` (the sharded-index bulk
 //! build); they were hoisted into this base crate once `hta-core` and
 //! `hta-matching` needed the same pattern for the solver pipeline.
-//! `hta_index::par` re-exports everything here for compatibility.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,12 @@
-//! Cluster roles for the serving layer: primary/replica replication and
-//! sharded candidate retrieval (DESIGN.md §14).
+//! Cluster roles for the serving layer: primary/replica replication
+//! (DESIGN.md §14).
 //!
-//! Three roles share one binary:
+//! Two roles share one binary:
 //!
-//! * **primary** — owns the authoritative [`PlatformState`] and the solver.
-//!   After every successful mutating operation it publishes its serialized
-//!   state to a [`ReplicationHub`], which diffs consecutive snapshots into
+//! * **primary** — owns the authoritative [`PlatformState`], retrieves
+//!   candidates from its local index and runs the solver. After every
+//!   successful mutating operation it publishes its serialized state to a
+//!   [`ReplicationHub`], which diffs consecutive snapshots into
 //!   epoch-tagged deltas and streams them to attached peers.
 //! * **replica** — follows the primary's replication stream, swaps each
 //!   update into its local `PlatformState`
@@ -13,30 +14,17 @@
 //!   traffic (`/stats`, `/topk`, `/candidates`) locally — byte-identically
 //!   to the primary at the same epoch, because both hold the same bytes.
 //!   Write endpoints bounce to the primary with `307` + `Location`.
-//! * **shard worker** — a replica that additionally owns the catalog slice
-//!   `task % count == index` and serves `GET /shard_topk`: exact per-worker
-//!   top-k over its owned open tasks, scores shipped as `f64` bit patterns.
-//!
-//! The primary's [`ShardCoordinator`] runs *under the state lock* during an
-//! assignment: it publishes the current state (deduplicated, so the epoch
-//! only advances if something changed), queries every shard at that pinned
-//! epoch, and merges the per-shard lists into the exact global top-k
-//! ([`hta_index::merge_topk`]). Any failure — shard down, stale, malformed
-//! — falls back to the local index, which by construction produces the same
-//! lists, so the fallback changes nothing but latency. Assignment decisions
-//! (the one joint solve) never leave the primary.
 
 use std::io;
 use std::str::FromStr;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use hta_cluster::{http_get, Follower, ReplicaState, ReplicationHub, ShardSpec};
-use hta_index::merge_topk;
+use hta_cluster::{Follower, ReplicaState, ReplicationHub};
 
-use crate::snapshot::bytes_from_inner;
-use crate::state::{Inner, PlatformState, ShardTopk};
+use crate::state::PlatformState;
 
 /// Which cluster role this process plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +33,6 @@ pub enum Role {
     Primary,
     /// Read replica following the primary's snapshot-delta stream.
     Replica,
-    /// Replica that also serves shard-local top-k retrieval.
-    ShardWorker,
 }
 
 impl FromStr for Role {
@@ -56,10 +42,7 @@ impl FromStr for Role {
         match s {
             "primary" => Ok(Role::Primary),
             "replica" => Ok(Role::Replica),
-            "shard-worker" => Ok(Role::ShardWorker),
-            _ => Err(format!(
-                "unknown role {s:?} (want primary, replica, or shard-worker)"
-            )),
+            _ => Err(format!("unknown role {s:?} (want primary or replica)")),
         }
     }
 }
@@ -69,63 +52,31 @@ impl std::fmt::Display for Role {
         f.write_str(match self {
             Role::Primary => "primary",
             Role::Replica => "replica",
-            Role::ShardWorker => "shard-worker",
         })
     }
 }
 
-/// The epoch a replica has fully applied to its serving state, with a
-/// waitable bump — `GET /shard_topk?epoch=E` blocks (bounded) until the
-/// node has caught up to `E` so it answers against exactly the state the
-/// primary pinned.
-pub struct AppliedEpoch {
-    epoch: Mutex<u64>,
-    bump: Condvar,
-}
-
-impl Default for AppliedEpoch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The epoch a follower has fully applied to its serving state, reported
+/// on `GET /cluster`. `set` (Release) pairs with `get` (Acquire): a reader
+/// that sees epoch `E` also sees the state swap that preceded it.
+#[derive(Default)]
+pub struct AppliedEpoch(AtomicU64);
 
 impl AppliedEpoch {
     /// Epoch 0: nothing applied yet.
     pub fn new() -> Self {
-        Self {
-            epoch: Mutex::new(0),
-            bump: Condvar::new(),
-        }
+        Self::default()
     }
 
     /// Record that `epoch` is now fully applied (monotone; stale sets are
-    /// ignored) and wake waiters.
+    /// ignored).
     pub fn set(&self, epoch: u64) {
-        let mut held = self.epoch.lock().expect("epoch lock");
-        if epoch > *held {
-            *held = epoch;
-            self.bump.notify_all();
-        }
+        self.0.fetch_max(epoch, Ordering::Release);
     }
 
     /// The currently applied epoch.
     pub fn get(&self) -> u64 {
-        *self.epoch.lock().expect("epoch lock")
-    }
-
-    /// Wait until the applied epoch reaches `at_least` or `timeout`
-    /// elapses; returns the applied epoch either way.
-    pub fn wait_for(&self, at_least: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
-        let mut held = self.epoch.lock().expect("epoch lock");
-        while *held < at_least {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let (guard, _) = self.bump.wait_timeout(held, left).expect("epoch lock");
-            held = guard;
-        }
-        *held
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -135,13 +86,11 @@ pub struct ClusterCtx {
     pub role: Role,
     /// Primary only: the replication hub peers attach to.
     pub hub: Option<Arc<ReplicationHub>>,
-    /// Replica/shard: the primary's HTTP address (`host:port`) write
-    /// endpoints redirect to.
+    /// Replica: the primary's HTTP address (`host:port`) write endpoints
+    /// redirect to.
     pub primary_http: Option<String>,
-    /// Replica/shard: the epoch applied to the local serving state.
+    /// Replica: the epoch applied to the local serving state.
     pub applied: Arc<AppliedEpoch>,
-    /// Shard worker: the catalog slice this node owns.
-    pub shard: Option<ShardSpec>,
 }
 
 impl ClusterCtx {
@@ -152,7 +101,6 @@ impl ClusterCtx {
             hub: Some(hub),
             primary_http: None,
             applied: Arc::new(AppliedEpoch::new()),
-            shard: None,
         }
     }
 
@@ -163,22 +111,6 @@ impl ClusterCtx {
             hub: None,
             primary_http: Some(primary_http),
             applied,
-            shard: None,
-        }
-    }
-
-    /// Context for a shard worker owning `shard`.
-    pub fn shard_worker(
-        primary_http: String,
-        applied: Arc<AppliedEpoch>,
-        shard: ShardSpec,
-    ) -> Self {
-        Self {
-            role: Role::ShardWorker,
-            hub: None,
-            primary_http: Some(primary_http),
-            applied,
-            shard: Some(shard),
         }
     }
 
@@ -189,175 +121,6 @@ impl ClusterCtx {
             Some(hub) => hub.epoch(),
             None => self.applied.get(),
         }
-    }
-}
-
-/// How long the coordinator waits on each shard before falling back to
-/// local retrieval. Also the bound a shard worker waits for a pinned epoch.
-pub const SHARD_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// The primary-side [`ShardTopk`] implementation: pin an epoch, fan the
-/// cohort's retrieval out to the shard workers, merge exactly.
-struct ShardCoordinator {
-    hub: Arc<ReplicationHub>,
-    shards: Vec<String>,
-    timeout: Duration,
-}
-
-impl ShardTopk for ShardCoordinator {
-    fn worker_topk(
-        &self,
-        inner: &Inner,
-        cohort: &[usize],
-        k: usize,
-    ) -> Option<Vec<Vec<(u32, f64)>>> {
-        if self.shards.is_empty() || cohort.is_empty() {
-            return None;
-        }
-        // Publish the state we hold the lock on. Identical bytes do not
-        // advance the epoch, so repeated assigns between mutations pin the
-        // same epoch; and no newer epoch can appear while we hold the lock,
-        // so the shards' answers are against exactly this state.
-        let epoch = self.hub.publish(bytes_from_inner(inner));
-        let workers: Vec<String> = cohort.iter().map(usize::to_string).collect();
-        let target = format!(
-            "/shard_topk?epoch={epoch}&workers={}&k={k}",
-            workers.join(",")
-        );
-        let mut per_shard: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(self.shards.len());
-        for addr in &self.shards {
-            let resp = http_get(addr, &target, self.timeout).ok()?;
-            if resp.status != 200 {
-                return None;
-            }
-            per_shard.push(parse_shard_lists(&resp.body_text(), cohort.len())?);
-        }
-        Some(
-            (0..cohort.len())
-                .map(|wi| {
-                    let lists: Vec<Vec<(u32, f64)>> =
-                        per_shard.iter().map(|s| s[wi].clone()).collect();
-                    merge_topk(&lists, k)
-                })
-                .collect(),
-        )
-    }
-}
-
-/// Install the shard coordinator on a primary's state: assignment-time
-/// candidate retrieval fans out to the shard workers at `shards` (HTTP
-/// addresses), with identity-safe fallback to the local index.
-pub fn install_shard_coordinator(
-    state: &PlatformState,
-    hub: Arc<ReplicationHub>,
-    shards: Vec<String>,
-) {
-    state.set_shard_topk(Some(Arc::new(ShardCoordinator {
-        hub,
-        shards,
-        timeout: SHARD_TIMEOUT,
-    })));
-}
-
-/// Render per-worker top-k lists as the `/shard_topk` response body.
-/// Scores travel as `u64` bit patterns (`f64::to_bits`) so retrieval stays
-/// bit-identical across the wire — a decimal rendering would not.
-pub fn encode_shard_lists(epoch: u64, lists: &[Vec<(u32, f64)>]) -> String {
-    use std::fmt::Write as _;
-    let mut body = format!("{{\"epoch\":{epoch},\"lists\":[");
-    for (i, list) in lists.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push('[');
-        for (j, (task, score)) in list.iter().enumerate() {
-            if j > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "[{task},{}]", score.to_bits());
-        }
-        body.push(']');
-    }
-    body.push_str("]}");
-    body
-}
-
-/// Parse [`encode_shard_lists`] output back into per-worker lists.
-/// Returns `None` (coordinator falls back to local retrieval) on any
-/// malformation or a list count other than `expect`.
-pub fn parse_shard_lists(body: &str, expect: usize) -> Option<Vec<Vec<(u32, f64)>>> {
-    let rest = body.split_once("\"lists\":")?.1.as_bytes();
-    let mut cur = Cursor { b: rest, i: 0 };
-    cur.expect(b'[')?;
-    let mut lists = Vec::new();
-    if cur.peek()? == b']' {
-        cur.expect(b']')?;
-    } else {
-        loop {
-            cur.expect(b'[')?;
-            let mut list = Vec::new();
-            if cur.peek()? == b']' {
-                cur.expect(b']')?;
-            } else {
-                loop {
-                    cur.expect(b'[')?;
-                    let task = cur.number()?;
-                    cur.expect(b',')?;
-                    let bits = cur.number()?;
-                    cur.expect(b']')?;
-                    list.push((u32::try_from(task).ok()?, f64::from_bits(bits)));
-                    if cur.peek()? == b',' {
-                        cur.expect(b',')?;
-                    } else {
-                        cur.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-            lists.push(list);
-            if cur.peek()? == b',' {
-                cur.expect(b',')?;
-            } else {
-                cur.expect(b']')?;
-                break;
-            }
-        }
-    }
-    (lists.len() == expect).then_some(lists)
-}
-
-/// A strict byte cursor for the rigid `/shard_topk` grammar.
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Cursor<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Option<()> {
-        if self.peek()? == c {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn number(&mut self) -> Option<u64> {
-        let start = self.i;
-        while self.peek()?.is_ascii_digit() {
-            self.i += 1;
-        }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()?
-            .parse()
-            .ok()
     }
 }
 
@@ -450,56 +213,19 @@ mod tests {
     fn role_parses_and_prints() {
         assert_eq!("primary".parse::<Role>().unwrap(), Role::Primary);
         assert_eq!("replica".parse::<Role>().unwrap(), Role::Replica);
-        assert_eq!("shard-worker".parse::<Role>().unwrap(), Role::ShardWorker);
         assert!("leader".parse::<Role>().is_err());
-        assert_eq!(Role::ShardWorker.to_string(), "shard-worker");
+        assert!("shard-worker".parse::<Role>().is_err());
+        assert_eq!(Role::Replica.to_string(), "replica");
     }
 
     #[test]
-    fn shard_list_wire_format_round_trips_bit_exactly() {
-        let lists: Vec<Vec<(u32, f64)>> = vec![
-            vec![
-                (3, 0.625),
-                (17, 0.1234567890123_f64),
-                (0, f64::MIN_POSITIVE),
-            ],
-            vec![],
-            vec![(42, 1.0)],
-        ];
-        let body = encode_shard_lists(9, &lists);
-        assert!(body.starts_with("{\"epoch\":9,"));
-        let parsed = parse_shard_lists(&body, 3).expect("parse");
-        assert_eq!(parsed.len(), 3);
-        for (p, l) in parsed.iter().zip(&lists) {
-            assert_eq!(p.len(), l.len());
-            for (a, b) in p.iter().zip(l) {
-                assert_eq!(a.0, b.0);
-                assert_eq!(a.1.to_bits(), b.1.to_bits(), "score bits must survive");
-            }
-        }
-        // Wrong expected count and malformed bodies are refused, not
-        // mis-parsed.
-        assert!(parse_shard_lists(&body, 2).is_none());
-        assert!(parse_shard_lists("{\"lists\":[[[1]]]}", 1).is_none());
-        assert!(parse_shard_lists("{\"nope\":[]}", 0).is_none());
-        assert!(parse_shard_lists("{\"lists\":[]}", 0).is_some());
-    }
-
-    #[test]
-    fn applied_epoch_waits_and_stays_monotone() {
-        let applied = Arc::new(AppliedEpoch::new());
+    fn applied_epoch_stays_monotone() {
+        let applied = AppliedEpoch::new();
         assert_eq!(applied.get(), 0);
         applied.set(4);
         applied.set(2); // stale: ignored
         assert_eq!(applied.get(), 4);
-        assert_eq!(applied.wait_for(4, Duration::from_millis(1)), 4);
-        // A waiter is released when another thread bumps past its target.
-        let a = Arc::clone(&applied);
-        let waiter = thread::spawn(move || a.wait_for(7, Duration::from_secs(5)));
-        thread::sleep(Duration::from_millis(20));
         applied.set(7);
-        assert_eq!(waiter.join().unwrap(), 7);
-        // Timeout returns what is applied, not a hang.
-        assert_eq!(applied.wait_for(99, Duration::from_millis(10)), 7);
+        assert_eq!(applied.get(), 7);
     }
 }

@@ -11,8 +11,7 @@
 //! out web frameworks. The serving core is `hta-net`'s epoll reactor —
 //! keep-alive HTTP/1.1 connections multiplexed on a few event-loop
 //! threads, CPU-heavy solves on a bounded worker pool with `503`
-//! backpressure ([`server`]); the original thread-per-connection loop is
-//! kept as the measured baseline ([`legacy`]).
+//! backpressure ([`server`]).
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -31,7 +30,6 @@
 
 pub mod cluster;
 pub mod http;
-pub mod legacy;
 pub mod metrics;
 pub mod server;
 pub mod service;
@@ -39,7 +37,6 @@ pub mod snapshot;
 pub mod state;
 
 pub use cluster::{AppliedEpoch, ClusterCtx, Role};
-pub use legacy::LegacyServer;
 pub use metrics::ServingMetrics;
 pub use server::{ServeOptions, Server};
 pub use snapshot::ServerSnapshotError;

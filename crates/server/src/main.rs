@@ -4,11 +4,13 @@
 //! hta-serve [addr] [tasks.csv] [--restore state.htasnap]
 //!           [--listen-threads N] [--solver-pool N] [--queue-capacity N]
 //!           [--snapshot-on-exit state.htasnap] [--edge-cache-cap N]
-//!           [--role primary|replica|shard-worker]
-//!           [--repl-listen addr] [--shard-workers a,b,c]        # primary
-//!           [--join addr] [--primary-http addr] [--journal F]   # followers
-//!           [--shard-index N] [--shard-count N]                 # shard worker
+//!           [--role primary|replica]
+//!           [--repl-listen addr]                                # primary
+//!           [--join addr] [--primary-http addr] [--journal F]   # replica
 //! ```
+//!
+//! An unknown `--flag` or a third positional argument exits with status 2
+//! before anything binds.
 //!
 //! With no task CSV, serves a generated AMT-like corpus (1000 tasks). With
 //! `--restore`, rehydrates the full serving state — workers, estimators,
@@ -25,13 +27,11 @@
 //! resolved cap shows up in `GET /stats`.
 //!
 //! Cluster roles (DESIGN.md §14): `--role primary` additionally serves a
-//! replication stream on `--repl-listen` (default `127.0.0.1:7171`) and,
-//! given `--shard-workers`, fans candidate retrieval out to those HTTP
-//! addresses. `--role replica` / `--role shard-worker` fetch their initial
-//! state from the primary's `--join` address (or the `--journal` file when
-//! it holds one), follow the delta stream, answer reads locally, and
-//! redirect writes to `--primary-http`. A shard worker also needs
-//! `--shard-index`/`--shard-count` and serves `GET /shard_topk`.
+//! replication stream on `--repl-listen` (default `127.0.0.1:7171`).
+//! `--role replica` fetches its initial state from the primary's `--join`
+//! address (or the `--journal` file when it holds one), follows the delta
+//! stream, answers reads locally, and redirects writes to `--primary-http`.
+//! Candidate retrieval and solving always run on the primary.
 //!
 //! `SIGINT`/`SIGTERM` shut down gracefully: stop accepting, drain in-flight
 //! requests, then (with `--snapshot-on-exit`) save a final snapshot that a
@@ -42,19 +42,23 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hta_cluster::{ReplicaState, ReplicationHub, ShardSpec, DEFAULT_RETAIN};
+use hta_cluster::{ReplicaState, ReplicationHub, DEFAULT_RETAIN};
 use hta_net::ShutdownSignals;
-use hta_server::cluster::{
-    acquire_initial_state, install_shard_coordinator, spawn_follower, AppliedEpoch, ClusterCtx,
-    Role,
-};
+use hta_server::cluster::{acquire_initial_state, spawn_follower, AppliedEpoch, ClusterCtx, Role};
 use hta_server::{PlatformState, ServeOptions, Server};
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn parse_flag_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a valid value");
-        std::process::exit(2);
-    })
+    let Some(value) = value else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag}: invalid value {value:?}")))
 }
 
 fn main() {
@@ -73,9 +77,6 @@ fn main() {
     let mut join: Option<String> = None;
     let mut primary_http: Option<String> = None;
     let mut journal: Option<String> = None;
-    let mut shard_workers: Vec<String> = Vec::new();
-    let mut shard_index: Option<u32> = None;
-    let mut shard_count: Option<u32> = None;
     let mut edge_cache_cap: Option<usize> = None;
     let mut opts = ServeOptions::default();
     if let Some(n) = std::env::var("HTA_SERVER_THREADS")
@@ -88,20 +89,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--restore" => match args.next() {
-                Some(p) => restore = Some(p),
-                None => {
-                    eprintln!("error: --restore needs a snapshot path");
-                    std::process::exit(2);
-                }
-            },
-            "--snapshot-on-exit" => match args.next() {
-                Some(p) => snapshot_on_exit = Some(p),
-                None => {
-                    eprintln!("error: --snapshot-on-exit needs a snapshot path");
-                    std::process::exit(2);
-                }
-            },
+            "--restore" => restore = Some(parse_flag_value(&arg, args.next())),
+            "--snapshot-on-exit" => snapshot_on_exit = Some(parse_flag_value(&arg, args.next())),
             "--listen-threads" => opts.listen_threads = parse_flag_value(&arg, args.next()),
             "--solver-pool" => opts.solver_pool = parse_flag_value(&arg, args.next()),
             "--queue-capacity" => opts.queue_capacity = parse_flag_value(&arg, args.next()),
@@ -110,17 +99,11 @@ fn main() {
             "--join" => join = Some(parse_flag_value(&arg, args.next())),
             "--primary-http" => primary_http = Some(parse_flag_value(&arg, args.next())),
             "--journal" => journal = Some(parse_flag_value(&arg, args.next())),
-            "--shard-workers" => {
-                let list: String = parse_flag_value(&arg, args.next());
-                shard_workers = list
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_owned)
-                    .collect();
-            }
-            "--shard-index" => shard_index = Some(parse_flag_value(&arg, args.next())),
-            "--shard-count" => shard_count = Some(parse_flag_value(&arg, args.next())),
             "--edge-cache-cap" => edge_cache_cap = Some(parse_flag_value(&arg, args.next())),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
+            _ if positionals.len() == 2 => usage_error(&format!(
+                "unexpected argument {arg} (want [addr] [tasks.csv])"
+            )),
             _ => positionals.push(arg),
         }
     }
@@ -130,30 +113,23 @@ fn main() {
     }
     let csv_path = positionals.next();
     if restore.is_some() && csv_path.is_some() {
-        eprintln!("error: --restore and a task CSV are mutually exclusive");
-        std::process::exit(2);
+        usage_error("--restore and a task CSV are mutually exclusive");
     }
-    let follower_role = matches!(role, Some(Role::Replica | Role::ShardWorker));
+    let follower_role = role == Some(Role::Replica);
     if follower_role && (restore.is_some() || csv_path.is_some()) {
-        eprintln!("error: a follower's state comes from the primary, not --restore or a CSV");
-        std::process::exit(2);
+        usage_error("a follower's state comes from the primary, not --restore or a CSV");
     }
     if follower_role && join.is_none() {
-        eprintln!(
-            "error: --role {} needs --join <primary repl addr>",
-            role.unwrap()
-        );
-        std::process::exit(2);
+        usage_error("--role replica needs --join <primary repl addr>");
     }
-    if role == Some(Role::ShardWorker) && (shard_index.is_none() || shard_count.is_none()) {
-        eprintln!("error: --role shard-worker needs --shard-index and --shard-count");
-        std::process::exit(2);
+    if follower_role && primary_http.is_none() {
+        usage_error("--role replica needs --primary-http");
     }
 
     // Followers acquire their entire state over the wire; everyone else
     // builds it locally.
     let state = if follower_role {
-        let join = join.clone().unwrap();
+        let join = join.unwrap();
         let mut rstate = match &journal {
             Some(path) => ReplicaState::with_journal(Path::new(path)),
             None => ReplicaState::empty(),
@@ -168,19 +144,7 @@ fn main() {
         let applied = Arc::new(AppliedEpoch::new());
         applied.set(rstate.epoch);
         spawn_follower(join, rstate, Arc::clone(&state), Arc::clone(&applied));
-        let primary = primary_http.clone().unwrap_or_else(|| {
-            eprintln!("error: --role {} needs --primary-http", role.unwrap());
-            std::process::exit(2);
-        });
-        let ctx = match role.unwrap() {
-            Role::Replica => ClusterCtx::replica(primary, applied),
-            Role::ShardWorker => ClusterCtx::shard_worker(
-                primary,
-                applied,
-                ShardSpec::new(shard_index.unwrap(), shard_count.unwrap()),
-            ),
-            Role::Primary => unreachable!(),
-        };
+        let ctx = ClusterCtx::replica(primary_http.unwrap(), applied);
         (state, Some(Arc::new(ctx)))
     } else {
         let state = match (restore, csv_path) {
@@ -238,10 +202,6 @@ fn main() {
             {
                 let hub = Arc::clone(&hub);
                 std::thread::spawn(move || hub.serve(listener));
-            }
-            if !shard_workers.is_empty() {
-                println!("sharded retrieval across {} workers", shard_workers.len());
-                install_shard_coordinator(&state, Arc::clone(&hub), shard_workers);
             }
             Some(Arc::new(ClusterCtx::primary(hub)))
         } else {

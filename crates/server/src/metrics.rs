@@ -9,7 +9,7 @@ use std::time::Duration;
 use hta_net::NetMetrics;
 
 /// The endpoints tracked individually; anything else lands in `other`.
-pub const ENDPOINTS: [&str; 9] = [
+pub const ENDPOINTS: [&str; 13] = [
     "health",
     "register",
     "assign",
@@ -18,6 +18,10 @@ pub const ENDPOINTS: [&str; 9] = [
     "tasks",
     "stats",
     "snapshot",
+    "reputation",
+    "topk",
+    "candidates",
+    "cluster",
     "other",
 ];
 

@@ -5,8 +5,7 @@
 //! that touches [`PlatformState`] goes through the bounded job queue to a
 //! solver-pool worker, so a long `/assign` solve never blocks accepts or
 //! liveness probes, and a full queue answers `503` + `Retry-After` instead
-//! of queueing unboundedly. The thread-per-connection baseline lives on in
-//! [`crate::legacy::LegacyServer`].
+//! of queueing unboundedly.
 
 use std::io;
 use std::net::SocketAddr;
@@ -152,7 +151,7 @@ impl Server {
     }
 
     /// Bind and serve as a cluster node: the handler consults `cluster`
-    /// for role-aware routing (write redirects, `/cluster`, `/shard_topk`)
+    /// for role-aware routing (write redirects, `/cluster`)
     /// and, on a primary, publishes to the replication hub after every
     /// successful mutation.
     pub fn spawn_with_cluster(
@@ -273,6 +272,41 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             1
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn every_route_counts_under_its_own_name() {
+        let (server, _state) = start();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let snap = std::env::temp_dir().join(format!("hta-route-counts-{}", std::process::id()));
+        let routes = [
+            ("GET", "/health".to_owned()),
+            ("POST", "/register?keywords=english;audio".to_owned()),
+            ("POST", "/assign?worker=0".to_owned()),
+            ("POST", "/assign_batch?workers=0".to_owned()),
+            ("POST", "/complete?worker=0&task=0".to_owned()),
+            ("GET", "/tasks?id=0".to_owned()),
+            ("GET", "/stats".to_owned()),
+            ("POST", format!("/snapshot?path={}", snap.display())),
+            ("GET", "/reputation?worker=0".to_owned()),
+            ("GET", "/topk?worker=0".to_owned()),
+            ("GET", "/candidates?worker=0".to_owned()),
+            // A single-process node answers 404 here; the route still
+            // counts under its own name.
+            ("GET", "/cluster".to_owned()),
+        ];
+        assert_eq!(routes.len(), crate::metrics::ENDPOINTS.len() - 1);
+        for (method, target) in &routes {
+            roundtrip(&mut stream, &mut reader, method, target);
+        }
+        let metrics = server.metrics();
+        for name in &crate::metrics::ENDPOINTS[..routes.len()] {
+            assert_eq!(metrics.endpoint_count(&format!("/{name}")), 1, "/{name}");
+        }
+        assert_eq!(metrics.endpoint_count("/other"), 0);
+        std::fs::remove_file(&snap).ok();
         server.shutdown();
     }
 

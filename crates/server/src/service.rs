@@ -14,9 +14,8 @@
 //! | `GET /candidates?worker=N` | the worker's candidate pool under the configured mode |
 //! | `POST /snapshot?path=FILE` | atomically save the full serving state |
 //! | `GET /cluster` | cluster-aware nodes only: role, epoch, peers/primary |
-//! | `GET /shard_topk?epoch=E&workers=CSV&k=K` | shard workers only: shard-local top-k at epoch `E` |
 //!
-//! On replicas and shard workers the four mutating endpoints (`/register`,
+//! On replicas the four mutating endpoints (`/register`,
 //! `/assign`, `/assign_batch`, `/complete`) answer `307` + `Location`
 //! pointing at the primary; `/snapshot` stays local so operators can dump
 //! any node's serving state for byte-comparison.
@@ -26,13 +25,13 @@ use std::path::Path;
 
 use hta_index::CandidateMode;
 
-use crate::cluster::{encode_shard_lists, ClusterCtx, Role, SHARD_TIMEOUT};
+use crate::cluster::{ClusterCtx, Role};
 use crate::http::{json_string, url_encode, Request, Response};
 use crate::metrics::ServingMetrics;
 use crate::state::{PlatformState, StateError};
 
 /// Dispatch one request against the state (no serving-layer counters —
-/// the legacy front-end and direct library callers).
+/// direct library callers).
 pub fn handle(state: &PlatformState, req: &Request) -> Response {
     handle_with_metrics(state, req, None)
 }
@@ -70,8 +69,8 @@ pub fn handle_with_metrics(
 /// behaves exactly like [`handle_with_metrics`] — single-process serving is
 /// the zero-cluster special case. With a [`ClusterCtx`]:
 ///
-/// * non-primary roles redirect mutating endpoints to the primary (`307`),
-/// * `GET /cluster` and `GET /shard_topk` come alive,
+/// * replicas redirect mutating endpoints to the primary (`307`),
+/// * `GET /cluster` comes alive,
 /// * a primary publishes its state to the replication hub after every
 ///   successful mutation, so replicas converge within one delta frame.
 pub fn handle_cluster(
@@ -81,7 +80,7 @@ pub fn handle_cluster(
     cluster: Option<&ClusterCtx>,
 ) -> Response {
     if let Some(ctx) = cluster {
-        if let Some(resp) = cluster_route(state, req, ctx) {
+        if let Some(resp) = cluster_route(req, ctx) {
             return resp;
         }
     }
@@ -108,10 +107,9 @@ pub fn handle_cluster(
 }
 
 /// The cluster-only routes; `None` falls through to the normal table.
-fn cluster_route(state: &PlatformState, req: &Request, ctx: &ClusterCtx) -> Option<Response> {
+fn cluster_route(req: &Request, ctx: &ClusterCtx) -> Option<Response> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/cluster") => Some(cluster_info(ctx)),
-        ("GET", "/shard_topk") => Some(shard_topk(state, req, ctx)),
         ("POST", "/register" | "/assign" | "/assign_batch" | "/complete")
             if ctx.role != Role::Primary =>
         {
@@ -148,55 +146,8 @@ fn cluster_info(ctx: &ClusterCtx) -> Response {
     if let Some(primary) = &ctx.primary_http {
         let _ = write!(body, ",\"primary\":{}", json_string(primary));
     }
-    if let Some(shard) = ctx.shard {
-        let _ = write!(
-            body,
-            ",\"shard\":{{\"index\":{},\"count\":{}}}",
-            shard.index, shard.count
-        );
-    }
     body.push('}');
     Response::ok(body)
-}
-
-/// Shard-local exact top-k for a cohort, answered only once this node has
-/// applied the epoch the primary pinned (bounded wait, then `409` — the
-/// coordinator falls back to local retrieval rather than serve stale
-/// candidates).
-fn shard_topk(state: &PlatformState, req: &Request, ctx: &ClusterCtx) -> Response {
-    let Some(shard) = ctx.shard else {
-        return Response::error(404, "this node serves no shard");
-    };
-    let epoch = match req.require::<u64>("epoch") {
-        Ok(e) => e,
-        Err(e) => return Response::error(400, &e),
-    };
-    let k = match req.require::<usize>("k") {
-        Ok(k) => k,
-        Err(e) => return Response::error(400, &e),
-    };
-    let Some(raw) = req.param("workers") else {
-        return Response::error(400, "missing query parameter 'workers'");
-    };
-    let cohort: Result<Vec<usize>, _> = raw
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::parse)
-        .collect();
-    let Ok(cohort) = cohort else {
-        return Response::error(400, "query parameter 'workers' is malformed");
-    };
-    let applied = ctx.applied.wait_for(epoch, SHARD_TIMEOUT);
-    if applied < epoch {
-        return Response::error(
-            409,
-            &format!("shard applied epoch {applied}, primary pinned {epoch}"),
-        );
-    }
-    match state.shard_topk(&cohort, k, shard.index, shard.count) {
-        Ok(lists) => Response::ok(encode_shard_lists(applied, &lists)),
-        Err(e) => state_error(e),
-    }
 }
 
 fn state_error(e: StateError) -> Response {
@@ -420,7 +371,7 @@ fn stats(state: &PlatformState, serving: Option<&ServingMetrics>) -> Response {
         .join(",");
     // The platform-state fields come first and keep their exact shape —
     // snapshot tests compare these bodies across save/restore, and a
-    // legacy-served `/stats` (no serving counters) must stay byte-stable.
+    // `/stats` served without serving counters must stay byte-stable.
     let mut body = format!(
         "{{\"workers\":{},\"open_tasks\":{},\"assigned_tasks\":{},\"completed_tasks\":{},\"indexed_tasks\":{},\"shards\":[{}],\"simd\":\"{}\",\"edge_cache_cap\":{}",
         s.workers,

@@ -150,11 +150,8 @@ impl StateSerialize for PlatformSection {
     }
 }
 
-/// Build the snapshot container for already-locked inner state. Split out
-/// of [`PlatformState::snapshot_bytes`] so the cluster coordinator can
-/// serialize the state it is *currently holding the lock on* (to publish a
-/// replication epoch mid-assign) without re-entering the mutex.
-pub(crate) fn builder_from_inner(inner: &Inner) -> SnapshotBuilder {
+/// Build the snapshot container for locked inner state.
+fn builder_from_inner(inner: &Inner) -> SnapshotBuilder {
     let platform = PlatformSection {
         available: inner.available.clone(),
         xmax: inner.xmax,
@@ -169,11 +166,6 @@ pub(crate) fn builder_from_inner(inner: &Inner) -> SnapshotBuilder {
         .section(SECTION_PLATFORM, encode(&platform))
         .section(SECTION_INDEX, encode(&inner.index))
         .section(SECTION_RNG, encode(&inner.rng))
-}
-
-/// [`builder_from_inner`] straight to bytes.
-pub(crate) fn bytes_from_inner(inner: &Inner) -> Vec<u8> {
-    builder_from_inner(inner).to_bytes()
 }
 
 impl PlatformState {

@@ -2,7 +2,7 @@
 //! their adaptive weight estimators, the sharded keyword index over open
 //! tasks, and the assignment ledger — the data behind the Figure 4 workflow.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use hta_core::adaptive::WeightEstimator;
 use hta_core::solver::{
@@ -12,9 +12,7 @@ use hta_core::{
     keywords_fingerprint, DiversityEdgeCache, Instance, Jaccard, KeywordSpace, KeywordVec,
     SparseEdgeCache, Task, TaskId, TaskPool, Weights, Worker, WorkerId,
 };
-use hta_index::{
-    CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams, ShardedIndex,
-};
+use hta_index::{CandidateMode, CandidatePool, PoolMaintainer, PoolParams, ShardedIndex};
 use hta_life::Reputation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,34 +108,9 @@ impl std::fmt::Display for StateError {
     }
 }
 
-/// The cluster seam for candidate retrieval: resolves a cohort's
-/// per-worker top-k lists through shard workers instead of the local
-/// index. Implemented by the coordinator in [`crate::cluster`]; installed
-/// only on a sharded primary. Returning `None` (any shard unreachable,
-/// stale, or malformed) falls back to the local index — which produces the
-/// *same* lists, so the fallback is identity-safe, not best-effort.
-///
-/// Called with the inner lock held: the implementation may serialize
-/// `inner` to publish a replication epoch, pinning the exact state shards
-/// must answer against.
-pub(crate) trait ShardTopk: Send + Sync {
-    /// Exact global top-k `(task, score)` per cohort member, or `None` to
-    /// fall back to local retrieval.
-    fn worker_topk(
-        &self,
-        inner: &Inner,
-        cohort: &[usize],
-        k: usize,
-    ) -> Option<Vec<Vec<(u32, f64)>>>;
-}
-
 /// The platform state; all methods are thread-safe.
 pub struct PlatformState {
     inner: Mutex<Inner>,
-    /// Optional shard coordinator (primary of a sharded cluster only).
-    /// Outside `inner` so installing it never contends with serving, and
-    /// the `Arc` is cloned out before `inner` is locked.
-    coord: Mutex<Option<Arc<dyn ShardTopk>>>,
 }
 
 pub(crate) struct Inner {
@@ -340,7 +313,6 @@ impl PlatformState {
                 sparse_cache: None,
                 sparse_warm: None,
             }),
-            coord: Mutex::new(None),
         }
     }
 
@@ -353,29 +325,13 @@ impl PlatformState {
     pub(crate) fn from_inner(inner: Inner) -> Self {
         Self {
             inner: Mutex::new(inner),
-            coord: Mutex::new(None),
         }
     }
 
-    /// Swap the entire inner state for `fresh`'s (replica apply path). Any
-    /// installed shard coordinator is kept — it is node configuration, not
-    /// replicated state.
+    /// Swap the entire inner state for `fresh`'s (replica apply path).
     pub(crate) fn replace_with(&self, fresh: PlatformState) {
         let inner = fresh.inner.into_inner().expect("fresh state lock");
         *self.inner.lock().expect("state lock") = inner;
-    }
-
-    /// Install (or clear) the shard coordinator consulted by assignment
-    /// candidate retrieval.
-    pub(crate) fn set_shard_topk(&self, coord: Option<Arc<dyn ShardTopk>>) {
-        *self.coord.lock().expect("coordinator lock") = coord;
-    }
-
-    /// Clone out the installed coordinator, if any. Must be called
-    /// *before* locking `inner` (the coordinator is invoked under the
-    /// inner lock, and taking the locks in a fixed order avoids deadlock).
-    fn shard_topk_coord(&self) -> Option<Arc<dyn ShardTopk>> {
-        self.coord.lock().expect("coordinator lock").clone()
     }
 
     /// Switch the candidate-generation mode at runtime (the index is kept
@@ -420,8 +376,7 @@ impl PlatformState {
 
     /// Override the dense edge-cache catalog cap (`0` = auto:
     /// `HTA_EDGE_CACHE_CAP`, then the built-in default). Node
-    /// configuration, like the shard coordinator: not replicated and not
-    /// serialized — the server re-applies its flag after a restore. When
+    /// configuration: not replicated and not serialized — the server re-applies its flag after a restore. When
     /// the catalog no longer fits the new cap, the dense cache and its warm
     /// state are dropped so the sparse pipeline can take over; assignments
     /// are byte-identical either way.
@@ -472,136 +427,11 @@ impl PlatformState {
 
     /// Assign a fresh set of tasks to `worker` by solving HTA with the
     /// worker's current weight estimate (Figure 4's "Solve HTA" box, for a
-    /// singleton worker batch).
+    /// singleton worker batch): [`PlatformState::assign_batch`] with a
+    /// cohort of one.
     pub fn assign(&self, worker: usize) -> Result<AssignResult, StateError> {
-        let coord = self.shard_topk_coord();
-        let mut guard = self.inner.lock().expect("state lock");
-        Self::assign_locked(&mut guard, worker, coord.as_deref())
-    }
-
-    /// One singleton assignment against already-locked state; the shared
-    /// body of [`PlatformState::assign`] and
-    /// [`PlatformState::assign_batch_sequential`].
-    fn assign_locked(
-        inner: &mut Inner,
-        worker: usize,
-        coord: Option<&dyn ShardTopk>,
-    ) -> Result<AssignResult, StateError> {
-        if worker >= inner.workers.len() {
-            return Err(StateError::UnknownWorker(worker));
-        }
-        let weights = inner.workers[worker].estimator.estimate();
-        let width = inner.space.len();
-        let wkw = if inner.workers[worker].keywords.nbits() == width {
-            inner.workers[worker].keywords.clone()
-        } else {
-            inner.space.widen(&inner.workers[worker].keywords)
-        };
-
-        // Candidate selection: the sparse path retrieves this worker's
-        // top-k open tasks from the inverted index and tops the pool up to
-        // the feasibility floor; the dense path windows the whole open set.
-        let open: Vec<usize> = match inner.mode {
-            CandidateMode::Full => (0..inner.available.len())
-                .filter(|&i| inner.available[i])
-                .take(inner.max_instance_tasks)
-                .collect(),
-            CandidateMode::TopK(k) => {
-                let sparse = inner.sparse_mode_k() == Some(k);
-                if sparse {
-                    inner.ensure_sparse(k);
-                }
-                let pool = match coord.and_then(|c| c.worker_topk(inner, &[worker], k)) {
-                    Some(lists) => {
-                        CandidatePool::from_worker_topk(&inner.index, &lists, inner.xmax)
-                    }
-                    None if sparse => {
-                        // Incremental pool: the maintainer absorbed the
-                        // churn since the last solve, byte-identical to
-                        // `generate` over the live index.
-                        let cohort_kw = [(worker as u64, &wkw)];
-                        let maint = inner.pool_maint.as_mut().expect("ensured above");
-                        let (pool, _delta) = maint.pool_for(&inner.index, &cohort_kw, inner.xmax);
-                        pool
-                    }
-                    None => {
-                        let probe = Worker::new(WorkerId(0), wkw.clone()).with_weights(weights);
-                        CandidatePool::generate(
-                            &inner.index,
-                            &[probe],
-                            inner.xmax,
-                            &PoolParams::with_k(k),
-                        )
-                    }
-                };
-                if sparse {
-                    inner.refresh_sparse(pool.members());
-                }
-                pool.members().iter().map(|&t| t as usize).collect()
-            }
-        };
-        if open.is_empty() {
-            return Ok(AssignResult {
-                tasks: Vec::new(),
-                alpha: weights.alpha(),
-                beta: weights.beta(),
-            });
-        }
-        let local_tasks: Vec<Task> = open
-            .iter()
-            .enumerate()
-            .map(|(li, &ci)| {
-                let t = inner.tasks.get(TaskId(ci as u32));
-                let kw = if t.keywords.nbits() == width {
-                    t.keywords.clone()
-                } else {
-                    inner.space.widen(&t.keywords)
-                };
-                Task::new(TaskId(li as u32), t.group, kw)
-            })
-            .collect();
-        let local_workers = vec![Worker::new(WorkerId(0), wkw).with_weights(weights)];
-        let xmax = inner.xmax;
-        let inst = Instance::new(local_tasks, local_workers, xmax)
-            .expect("constructed instances are well-formed");
-        let solver = HtaGre::structured()
-            .without_flip()
-            .with_threads(inner.solver_threads);
-        let out = if inner.sparse_mode_k().is_some() {
-            // Sparse warm pipeline: the cache was refreshed to exactly this
-            // pool above; repair the carried matching over its edges.
-            solve_open_subset_sparse_warm(
-                &solver,
-                &inst,
-                &open,
-                inner.sparse_cache.as_ref(),
-                inner.sparse_warm.as_mut(),
-                &mut inner.rng,
-            )
-        } else {
-            inner.ensure_edge_cache();
-            solve_open_subset_warm(
-                &solver,
-                &inst,
-                &open,
-                inner.edge_cache.as_ref(),
-                inner.warm.as_mut(),
-                &mut inner.rng,
-            )
-        };
-
-        let mut assigned = Vec::new();
-        for &local in out.assignment.tasks_of(0) {
-            let ci = open[local];
-            inner.close_task(ci);
-            assigned.push(ci);
-        }
-        inner.workers[worker].assigned.extend(&assigned);
-        Ok(AssignResult {
-            tasks: assigned,
-            alpha: weights.alpha(),
-            beta: weights.beta(),
-        })
+        let mut inner = self.inner.lock().expect("state lock");
+        Ok(Self::assign_locked(&mut inner, &[worker])?.remove(0))
     }
 
     /// Assign fresh task sets to a whole `cohort` with **one** shared
@@ -616,9 +446,35 @@ impl PlatformState {
     /// worker id anywhere in the cohort fails the whole call before any
     /// state changes.
     pub fn assign_batch(&self, cohort: &[usize]) -> Result<Vec<AssignResult>, StateError> {
-        let coord = self.shard_topk_coord();
+        let mut inner = self.inner.lock().expect("state lock");
+        Self::assign_locked(&mut inner, cohort)
+    }
+
+    /// The sequential reference semantics for a cohort: per-worker
+    /// singleton solves in cohort order under a single lock hold — state-
+    /// and RNG-stream-equivalent to calling [`PlatformState::assign`] once
+    /// per cohort entry in the same order, but atomic with respect to
+    /// other clients. This is the ground truth the batch path is
+    /// property-tested against, exposed over `POST /assign_batch?mode=seq`.
+    ///
+    /// On the first unknown worker id the error is returned and earlier
+    /// entries' assignments remain applied — exactly what the equivalent
+    /// sequence of individual `/assign` calls would leave behind.
+    pub fn assign_batch_sequential(
+        &self,
+        cohort: &[usize],
+    ) -> Result<Vec<AssignResult>, StateError> {
         let mut guard = self.inner.lock().expect("state lock");
         let inner = &mut *guard;
+        cohort
+            .iter()
+            .map(|&w| Ok(Self::assign_locked(inner, &[w])?.remove(0)))
+            .collect()
+    }
+
+    /// One pool-and-solve for `cohort` against already-locked state; the
+    /// shared body of every assignment entry point.
+    fn assign_locked(inner: &mut Inner, cohort: &[usize]) -> Result<Vec<AssignResult>, StateError> {
         for &w in cohort {
             if w >= inner.workers.len() {
                 return Err(StateError::UnknownWorker(w));
@@ -649,39 +505,29 @@ impl PlatformState {
                 .take(inner.max_instance_tasks)
                 .collect(),
             CandidateMode::TopK(k) => {
-                let sparse = inner.sparse_mode_k() == Some(k);
-                if sparse {
+                let pool = if inner.sparse_mode_k() == Some(k) {
                     inner.ensure_sparse(k);
-                }
-                let pool = match coord
-                    .as_deref()
-                    .and_then(|c| c.worker_topk(inner, cohort, k))
-                {
-                    Some(lists) => {
-                        CandidatePool::from_worker_topk(&inner.index, &lists, inner.xmax)
-                    }
-                    None if sparse => {
-                        // Incremental pool over the whole cohort, using the
-                        // same (widened) keyword vectors `generate` would.
-                        let cohort_kw: Vec<(u64, &KeywordVec)> = cohort
-                            .iter()
-                            .zip(&local_workers)
-                            .map(|(&w, lw)| (w as u64, &lw.keywords))
-                            .collect();
-                        let maint = inner.pool_maint.as_mut().expect("ensured above");
-                        let (pool, _delta) = maint.pool_for(&inner.index, &cohort_kw, inner.xmax);
-                        pool
-                    }
-                    None => CandidatePool::generate(
+                    // Incremental pool: the maintainer absorbed the churn
+                    // since the last solve, byte-identical to `generate`
+                    // over the live index with the same (widened) keyword
+                    // vectors.
+                    let cohort_kw: Vec<(u64, &KeywordVec)> = cohort
+                        .iter()
+                        .zip(&local_workers)
+                        .map(|(&w, lw)| (w as u64, &lw.keywords))
+                        .collect();
+                    let maint = inner.pool_maint.as_mut().expect("ensured above");
+                    let (pool, _delta) = maint.pool_for(&inner.index, &cohort_kw, inner.xmax);
+                    inner.refresh_sparse(pool.members());
+                    pool
+                } else {
+                    CandidatePool::generate(
                         &inner.index,
                         &local_workers,
                         inner.xmax,
                         &PoolParams::with_k(k),
-                    ),
+                    )
                 };
-                if sparse {
-                    inner.refresh_sparse(pool.members());
-                }
                 pool.members().iter().map(|&t| t as usize).collect()
             }
         };
@@ -715,6 +561,8 @@ impl PlatformState {
             .without_flip()
             .with_threads(inner.solver_threads);
         let out = if inner.sparse_mode_k().is_some() {
+            // Sparse warm pipeline: the cache was refreshed to exactly this
+            // pool above; repair the carried matching over its edges.
             solve_open_subset_sparse_warm(
                 &solver,
                 &inst,
@@ -751,29 +599,6 @@ impl PlatformState {
             });
         }
         Ok(results)
-    }
-
-    /// The sequential reference semantics for a cohort: per-worker
-    /// singleton solves in cohort order under a single lock hold — state-
-    /// and RNG-stream-equivalent to calling [`PlatformState::assign`] once
-    /// per cohort entry in the same order, but atomic with respect to
-    /// other clients. This is the ground truth the batch path is
-    /// property-tested against, exposed over `POST /assign_batch?mode=seq`.
-    ///
-    /// On the first unknown worker id the error is returned and earlier
-    /// entries' assignments remain applied — exactly what the equivalent
-    /// sequence of individual `/assign` calls would leave behind.
-    pub fn assign_batch_sequential(
-        &self,
-        cohort: &[usize],
-    ) -> Result<Vec<AssignResult>, StateError> {
-        let coord = self.shard_topk_coord();
-        let mut guard = self.inner.lock().expect("state lock");
-        let inner = &mut *guard;
-        cohort
-            .iter()
-            .map(|&w| Self::assign_locked(inner, w, coord.as_deref()))
-            .collect()
     }
 
     /// Record a completion (Figure 4's "Notify t completed by w"): updates
@@ -939,49 +764,6 @@ impl PlatformState {
                 Ok((pool.members().to_vec(), pool.topk_hits()))
             }
         }
-    }
-
-    /// Shard-local per-worker top-k (`GET /shard_topk` on a shard worker):
-    /// exact top-`k` for each cohort member over the open tasks owned by
-    /// shard `shard_index` of `shard_count` (`task % count == index`).
-    ///
-    /// Built on a fresh [`InvertedIndex`] over the owned slice so ownership
-    /// filtering never disturbs the serving index. Per-task Jaccard scores
-    /// do not depend on what else is indexed, so these lists merge
-    /// ([`hta_index::merge_topk`]) to exactly the flat index's output.
-    pub fn shard_topk(
-        &self,
-        cohort: &[usize],
-        k: usize,
-        shard_index: u32,
-        shard_count: u32,
-    ) -> Result<Vec<Vec<(u32, f64)>>, StateError> {
-        assert!(shard_count > 0, "shard count must be positive");
-        let inner = self.inner.lock().expect("state lock");
-        for &w in cohort {
-            if w >= inner.workers.len() {
-                return Err(StateError::UnknownWorker(w));
-            }
-        }
-        let width = inner.space.len();
-        let widen = |kw: &KeywordVec| {
-            if kw.nbits() == width {
-                kw.clone()
-            } else {
-                inner.space.widen(kw)
-            }
-        };
-        let mut index = InvertedIndex::new(width);
-        for (t, &open) in inner.available.iter().enumerate() {
-            if open && (t as u32) % shard_count == shard_index {
-                let kw = widen(&inner.tasks.get(TaskId(t as u32)).keywords);
-                index.insert(t as u32, &kw);
-            }
-        }
-        Ok(cohort
-            .iter()
-            .map(|&w| index.top_k(&widen(&inner.workers[w].keywords), k))
-            .collect())
     }
 }
 
@@ -1321,92 +1103,6 @@ mod tests {
         );
     }
 
-    /// An in-process stand-in for the cluster coordinator: partitions the
-    /// open set by `task % count`, retrieves per-shard top-k on fresh
-    /// indices, and merges — exactly what the networked shard workers do,
-    /// minus the wire.
-    struct LocalShards {
-        count: u32,
-    }
-
-    impl ShardTopk for LocalShards {
-        fn worker_topk(
-            &self,
-            inner: &Inner,
-            cohort: &[usize],
-            k: usize,
-        ) -> Option<Vec<Vec<(u32, f64)>>> {
-            let width = inner.space.len();
-            let widen = |kw: &KeywordVec| {
-                if kw.nbits() == width {
-                    kw.clone()
-                } else {
-                    inner.space.widen(kw)
-                }
-            };
-            let mut per_worker: Vec<Vec<Vec<(u32, f64)>>> = vec![Vec::new(); cohort.len()];
-            for s in 0..self.count {
-                let mut index = InvertedIndex::new(width);
-                for (t, &open) in inner.available.iter().enumerate() {
-                    if open && (t as u32) % self.count == s {
-                        index.insert(
-                            t as u32,
-                            &widen(&inner.tasks.get(TaskId(t as u32)).keywords),
-                        );
-                    }
-                }
-                for (wi, &w) in cohort.iter().enumerate() {
-                    per_worker[wi].push(index.top_k(&widen(&inner.workers[w].keywords), k));
-                }
-            }
-            Some(
-                per_worker
-                    .iter()
-                    .map(|lists| hta_index::merge_topk(lists, k))
-                    .collect(),
-            )
-        }
-    }
-
-    #[test]
-    fn sharded_retrieval_is_byte_identical_to_local() {
-        let make = || {
-            let w = generate(&AmtConfig {
-                n_groups: 20,
-                tasks_per_group: 10,
-                vocab_size: 80,
-                ..Default::default()
-            });
-            let s = PlatformState::new(w.space, w.tasks, 5, 0xC1);
-            let a = s.register_worker(&["english", "survey"]).unwrap();
-            let b = s.register_worker(&["english", "audio"]).unwrap();
-            (s, a, b)
-        };
-        let (sharded, sa, sb) = make();
-        sharded.set_shard_topk(Some(Arc::new(LocalShards { count: 3 })));
-        let (local, la, lb) = make();
-
-        for round in 0..4 {
-            let x = sharded.assign(sa).unwrap();
-            let y = local.assign(la).unwrap();
-            assert_eq!(x, y, "round {round}: singleton assign diverged");
-            assert_eq!(
-                sharded.assign_batch(&[sb, sa]).unwrap(),
-                local.assign_batch(&[lb, la]).unwrap(),
-                "round {round}: batch assign diverged"
-            );
-            if let Some(&t) = x.tasks.first() {
-                sharded.complete(sa, t).unwrap();
-                local.complete(la, t).unwrap();
-            }
-        }
-        assert_eq!(
-            sharded.snapshot_bytes(),
-            local.snapshot_bytes(),
-            "sharded and local retrieval left different serialized state"
-        );
-    }
-
     #[test]
     fn worker_topk_and_candidate_pool_read_paths() {
         let s = state();
@@ -1424,19 +1120,6 @@ mod tests {
         assert!(hits <= pool.len());
         // The preview is read-only: stats and a later assign are untouched.
         assert_eq!(s.stats().assigned_tasks, 0);
-
-        // Shard lists merge back to the flat top-k, scores bit-identical.
-        let k = 7;
-        let flat = s.worker_topk(w, k).unwrap();
-        let per_shard: Vec<Vec<(u32, f64)>> = (0..3)
-            .map(|i| s.shard_topk(&[w], k, i, 3).unwrap().remove(0))
-            .collect();
-        let merged = hta_index::merge_topk(&per_shard, k);
-        assert_eq!(merged.len(), flat.len());
-        for (m, f) in merged.iter().zip(&flat) {
-            assert_eq!(m.0, f.0);
-            assert_eq!(m.1.to_bits(), f.1.to_bits());
-        }
     }
 
     #[test]

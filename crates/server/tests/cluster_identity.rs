@@ -1,4 +1,4 @@
-//! Cluster identity: a primary with read replicas and shard workers must
+//! Cluster identity: a primary with read replicas must
 //! behave byte-identically to one single-process server fed the same
 //! request stream — same response bodies, same final snapshot bytes — and
 //! a follower that disappears mid-run must catch back up to byte-identical
@@ -9,12 +9,10 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hta_cluster::{Follower, ReplicaState, ReplicationHub, ShardSpec, DEFAULT_RETAIN};
+use hta_cluster::{Follower, ReplicaState, ReplicationHub, DEFAULT_RETAIN};
 use hta_datagen::amt::{generate, AmtConfig};
 use hta_net::client;
-use hta_server::cluster::{
-    acquire_initial_state, install_shard_coordinator, spawn_follower, AppliedEpoch, ClusterCtx,
-};
+use hta_server::cluster::{acquire_initial_state, spawn_follower, AppliedEpoch, ClusterCtx};
 use hta_server::{PlatformState, ServeOptions, Server};
 
 fn fresh_state(seed: u64) -> PlatformState {
@@ -118,8 +116,8 @@ fn spawn_primary(seed: u64) -> Primary {
     }
 }
 
-/// Attach a follower (replica or shard worker) to a primary.
-fn spawn_follower_node(primary: &Primary, shard: Option<ShardSpec>) -> Server {
+/// Attach a read replica to a primary.
+fn spawn_follower_node(primary: &Primary) -> Server {
     let mut rstate = ReplicaState::empty();
     let state = Arc::new(
         acquire_initial_state(&primary.repl_addr, &mut rstate, Duration::from_secs(10))
@@ -134,10 +132,7 @@ fn spawn_follower_node(primary: &Primary, shard: Option<ShardSpec>) -> Server {
         Arc::clone(&applied),
     );
     let primary_http = primary.server.addr().to_string();
-    let ctx = match shard {
-        None => ClusterCtx::replica(primary_http, applied),
-        Some(spec) => ClusterCtx::shard_worker(primary_http, applied, spec),
-    };
+    let ctx = ClusterCtx::replica(primary_http, applied);
     Server::spawn_with_cluster(
         "127.0.0.1:0",
         state,
@@ -200,10 +195,7 @@ fn replicated_run_matches_single_process_byte_for_byte() {
     // Cluster: primary + 2 replicas; writes go to a *replica* and follow
     // the 307 bounce, so the redirect path itself is under test.
     let primary = spawn_primary(SEED);
-    let replicas = [
-        spawn_follower_node(&primary, None),
-        spawn_follower_node(&primary, None),
-    ];
+    let replicas = [spawn_follower_node(&primary), spawn_follower_node(&primary)];
     let replica_addrs: Vec<String> = replicas.iter().map(|r| r.addr().to_string()).collect();
     let mut step = 0usize;
     let got = drive(|target| {
@@ -244,58 +236,6 @@ fn replicated_run_matches_single_process_byte_for_byte() {
     for r in replicas {
         r.shutdown();
     }
-    primary.server.shutdown();
-}
-
-#[test]
-fn sharded_retrieval_run_matches_single_process_byte_for_byte() {
-    let single_state = Arc::new(fresh_state(SEED));
-    let single = Server::spawn("127.0.0.1:0", Arc::clone(&single_state)).unwrap();
-    let single_addr = single.addr().to_string();
-    let expected = drive(|target| {
-        let (status, body, _) = call(&single_addr, "POST", target);
-        (status, body)
-    });
-
-    // Primary + 2 shard workers; the joint solve runs on the primary over
-    // candidate pools merged from the shards' exact top-k lists.
-    let primary = spawn_primary(SEED);
-    let shards = [
-        spawn_follower_node(&primary, Some(ShardSpec::new(0, 2))),
-        spawn_follower_node(&primary, Some(ShardSpec::new(1, 2))),
-    ];
-    install_shard_coordinator(
-        &primary.state,
-        Arc::clone(&primary.hub),
-        shards.iter().map(|s| s.addr().to_string()).collect(),
-    );
-
-    let primary_addr = primary.server.addr().to_string();
-    let got = drive(|target| {
-        let (status, body, _) = call(&primary_addr, "POST", target);
-        (status, body)
-    });
-    assert_eq!(expected.len(), got.len());
-    for (i, (want, have)) in expected.iter().zip(&got).enumerate() {
-        assert_eq!(want, have, "step {i} diverged under sharded retrieval");
-    }
-    let single_bytes = snapshot_via_http(&single_addr, "shard-single");
-    let primary_bytes = snapshot_via_http(&primary_addr, "shard-primary");
-    assert_eq!(single_bytes, primary_bytes, "sharded state diverged");
-
-    // Guard against vacuous success: identity also holds when the
-    // coordinator falls back to local retrieval, so check the shards
-    // actually answered.
-    let served: u64 = shards
-        .iter()
-        .map(|s| s.metrics().endpoint_count("/shard_topk"))
-        .sum();
-    assert!(served > 0, "no /shard_topk request reached any shard");
-
-    for s in shards {
-        s.shutdown();
-    }
-    single.shutdown();
     primary.server.shutdown();
 }
 
