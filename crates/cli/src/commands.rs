@@ -3,6 +3,7 @@
 use std::error::Error;
 
 use hta_core::prelude::*;
+use hta_core::EdgeSource;
 use hta_datagen::amt::{generate_exact, AmtConfig};
 use hta_datagen::export;
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
@@ -320,7 +321,7 @@ pub fn analyze(args: &Args) -> CmdResult {
 /// the simulation's determinism depends on (auto knobs resolved to what
 /// they actually ran with), so a result can be reproduced from its log.
 /// `label` names the command that emitted it (`simulate` or `resume`).
-fn print_repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) {
+fn repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) -> String {
     let fmt_auto = |requested: usize, effective: usize| {
         if requested == 0 {
             format!("{effective}(auto)")
@@ -346,11 +347,14 @@ fn print_repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) {
     // `available_parallelism()` on the auto path (`hta_par::solver_threads`),
     // so a log replayed on a differently-sized box shows its own clamp.
     let cache_cap = hta_core::edges::edge_cache_cap(cfg.platform.edge_cache_cap);
-    let dense = cfg.platform.reuse_edges && cfg.catalog.n_tasks <= cache_cap;
-    let sparse = cfg.platform.warm_start
-        && cfg.platform.reuse_edges
-        && !dense
-        && matches!(cfg.platform.candidates, hta_index::CandidateMode::TopK(_));
+    let source = EdgeSource::choose(
+        cfg.catalog.n_tasks,
+        cfg.platform.edge_cache_cap,
+        cfg.platform.reuse_edges,
+        cfg.platform.warm_start,
+        cfg.platform.candidates.top_k(),
+    );
+    let sparse = matches!(source, EdgeSource::Sparse { .. });
     line.push_str(&format!(
         " edge-cache-cap={} sparse-warm={}",
         fmt_auto(cfg.platform.edge_cache_cap, cache_cap),
@@ -373,7 +377,7 @@ fn print_repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) {
             line.push_str(&format!(" price-weight={}", cfg.platform.price_weight));
         }
     }
-    println!("{line}");
+    line
 }
 
 fn print_results_table(results: &hta_crowd::OnlineResults) {
@@ -535,7 +539,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     // iteration's matching instead of rebuilding, with byte-identical
     // metrics either way.
     cfg.platform.warm_start = warm_start == Some(true);
-    print_repro_header("simulate", &cfg);
+    println!("{}", repro_header("simulate", &cfg));
     report_outcome(hta_crowd::run_with(&cfg, None, &control)?);
     Ok(())
 }
@@ -576,7 +580,7 @@ pub fn resume(args: &Args) -> CmdResult {
         loaded.progress.current_records.len(),
         loaded.config.sessions_per_strategy,
     );
-    print_repro_header("resume", &loaded.config);
+    println!("{}", repro_header("resume", &loaded.config));
     report_outcome(hta_crowd::run_with(
         &loaded.config,
         Some(loaded.progress),
@@ -794,6 +798,29 @@ mod tests {
 
     fn args(v: &[&str]) -> Args {
         Args::parse(v.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    #[test]
+    fn repro_header_sparse_warm_agrees_with_the_platform() {
+        use hta_datagen::crowdflower::CrowdflowerCatalog;
+        let mut cfg = hta_crowd::OnlineConfig::default();
+        cfg.catalog.n_tasks = 600;
+        cfg.platform.candidates = CandidateMode::TopK(16);
+        cfg.platform.warm_start = true;
+        let catalog = CrowdflowerCatalog::generate(&cfg.catalog);
+        for cap in [1usize, 0] {
+            cfg.platform.edge_cache_cap = cap;
+            let platform = hta_crowd::Platform::new(&catalog, cfg.platform.clone());
+            let sparse = platform.sparse_cache().is_some();
+            assert!(sparse || cap != 1, "cap 1 puts the 600 tasks past the cap");
+            let want = if sparse {
+                "sparse-warm=on"
+            } else {
+                "sparse-warm=off"
+            };
+            let header = repro_header("simulate", &cfg);
+            assert!(header.contains(want), "cap {cap}: {header}");
+        }
     }
 
     #[test]

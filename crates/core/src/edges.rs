@@ -218,18 +218,27 @@ impl DiversityEdgeCache {
     /// `tasks` under `distance`, using `threads` scoped threads for both
     /// the enumeration and the sort.
     pub fn build(tasks: &[Task], distance: &(dyn Distance + Send + Sync), threads: usize) -> Self {
-        let n = tasks.len();
+        let keywords: Vec<&KeywordVec> = tasks.iter().map(|t| &t.keywords).collect();
+        Self::build_over(&keywords, distance, threads)
+    }
+
+    /// [`build`](Self::build) over the catalog's task keyword vectors, in
+    /// catalog order.
+    pub(crate) fn build_over(
+        keywords: &[&KeywordVec],
+        distance: &(dyn Distance + Send + Sync),
+        threads: usize,
+    ) -> Self {
+        let n = keywords.len();
         let mut edges = if distance.supports_popcount_kernels() && n > 1 {
-            let width = tasks[0].keywords.nbits();
-            let cat = kernels::PackedCatalog::from_vecs(width, tasks.iter().map(|t| &t.keywords));
+            let cat =
+                kernels::PackedCatalog::from_vecs(keywords[0].nbits(), keywords.iter().copied());
             enumerate_positive_edges_packed(&cat, threads)
         } else {
-            enumerate_positive_edges(n, threads, |u, v| {
-                distance.dist(&tasks[u].keywords, &tasks[v].keywords)
-            })
+            enumerate_positive_edges(n, threads, |u, v| distance.dist(keywords[u], keywords[v]))
         };
         hta_par::sort_unstable_by_parallel(&mut edges, threads, edge_order);
-        let fingerprint = keywords_fingerprint(tasks.iter().map(|t| &t.keywords));
+        let fingerprint = keywords_fingerprint(keywords.iter().copied());
         Self {
             n,
             edges,

@@ -12,12 +12,12 @@ use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::edges::{keywords_fingerprint, DiversityEdgeCache};
+use crate::bitvec::KeywordVec;
 use crate::error::HtaError;
 use crate::instance::Instance;
 use crate::metric::{Distance, Jaccard};
-use crate::solver::{Solver, SparseWarmState, WarmState};
-use crate::sparse::SparseEdgeCache;
+use crate::session::OpenSetSession;
+use crate::solver::Solver;
 use crate::task::{Task, TaskId, TaskPool};
 use crate::worker::{Weights, Worker, WorkerId, WorkerPool};
 
@@ -61,6 +61,11 @@ where
     }
 }
 
+/// The pool's task keyword vectors, in catalog order.
+fn keywords(tasks: &TaskPool) -> Vec<&KeywordVec> {
+    tasks.tasks().iter().map(|t| &t.keywords).collect()
+}
+
 /// Drives HTA across iterations over a shared task pool.
 pub struct IterationEngine {
     tasks: TaskPool,
@@ -70,16 +75,9 @@ pub struct IterationEngine {
     available: Vec<bool>,
     iteration: usize,
     candidates: Option<Box<dyn CandidateGenerator>>,
-    edge_cache: Option<DiversityEdgeCache>,
-    warm: Option<WarmState>,
-    /// Pool-scoped sparse edge cache: diversity edges over the open set
-    /// (or the candidate pool) only, refreshed in place per iteration.
-    /// Lifts the dense cache's catalog cap — edge work is `O(|pool|²)`,
-    /// never `O(|T|²)`. Ignored while the dense cache is active.
-    sparse_cache: Option<SparseEdgeCache>,
-    /// Warm matching state over the sparse edges (`Some` after the first
-    /// sparse iteration).
-    sparse_warm: Option<SparseWarmState>,
+    /// Edge source and warm state of the per-iteration solves (`Off` until
+    /// one of the `enable_*` methods runs).
+    session: OpenSetSession,
 }
 
 impl IterationEngine {
@@ -114,10 +112,7 @@ impl IterationEngine {
             available,
             iteration: 0,
             candidates: None,
-            edge_cache: None,
-            warm: None,
-            sparse_cache: None,
-            sparse_warm: None,
+            session: OpenSetSession::Off,
         })
     }
 
@@ -127,28 +122,28 @@ impl IterationEngine {
     /// per iteration. Results are byte-identical to the non-reusing path
     /// (the filtered sublist equals a fresh enumerate-and-sort).
     ///
-    /// `threads` controls the one-off build (`0` = auto).
+    /// `threads` controls the one-off build (`0` = auto). Replaces sparse
+    /// warm start; a dense warm state is rebound to the rebuilt list.
     pub fn enable_edge_reuse(&mut self, threads: usize) {
-        let threads = hta_par::solver_threads(threads);
-        let cache = DiversityEdgeCache::build(self.tasks.tasks(), self.distance.as_ref(), threads);
-        // A warm state is bound to one edge cache; rebuilding the cache
-        // rebinds it (the next iteration reinstalls the open set).
-        if self.warm.is_some() {
-            self.warm = Some(WarmState::new(&cache));
-        }
-        self.edge_cache = Some(cache);
+        self.session = OpenSetSession::dense(
+            &keywords(&self.tasks),
+            self.distance.as_ref(),
+            threads,
+            self.warm_start_enabled(),
+        );
     }
 
     /// Drop the precomputed edge list (back to per-iteration enumeration).
     /// Also drops any warm-start state, which cannot outlive its cache.
     pub fn disable_edge_reuse(&mut self) {
-        self.edge_cache = None;
-        self.warm = None;
+        if self.edge_reuse_enabled() {
+            self.session = OpenSetSession::Off;
+        }
     }
 
     /// Whether the reusable edge list is active.
     pub fn edge_reuse_enabled(&self) -> bool {
-        self.edge_cache.is_some()
+        self.session.dense_cache().is_some()
     }
 
     /// Carry the matching forward between iterations: the open set is
@@ -159,21 +154,20 @@ impl IterationEngine {
     /// warm state lives on top of the cached edge list). Results remain
     /// byte-identical to the cold path at every churn level.
     pub fn enable_warm_start(&mut self, threads: usize) {
-        if self.edge_cache.is_none() {
+        if !self.edge_reuse_enabled() {
             self.enable_edge_reuse(threads);
         }
-        let cache = self.edge_cache.as_ref().expect("edge cache just built");
-        self.warm = Some(WarmState::new(cache));
+        self.session.set_warm(true);
     }
 
     /// Drop the warm-start state (the edge cache stays).
     pub fn disable_warm_start(&mut self) {
-        self.warm = None;
+        self.session.set_warm(false);
     }
 
     /// Whether warm-start matching is active.
     pub fn warm_start_enabled(&self) -> bool {
-        self.warm.is_some()
+        self.session.warm().is_some()
     }
 
     /// Carry the matching forward over *pool-scoped* sparse edges instead
@@ -182,24 +176,23 @@ impl IterationEngine {
     /// touching added members are re-weighed, and the matching is repaired
     /// over the sparse list. Unlike [`enable_warm_start`]
     /// (Self::enable_warm_start) this never materializes `O(|T|²)` edges, so
-    /// it works past the dense edge-cache catalog cap. Ignored while the
-    /// dense cache is active (the dense path already covers that regime).
-    /// Results are byte-identical to the cold path at every churn level.
+    /// it works past the dense edge-cache catalog cap. Replaces any dense
+    /// edge list. Results are byte-identical to the cold path at every
+    /// churn level.
     pub fn enable_sparse_warm_start(&mut self) {
-        let fp = keywords_fingerprint(self.tasks.tasks().iter().map(|t| &t.keywords));
-        self.sparse_cache = Some(SparseEdgeCache::new(fp, self.tasks.len()));
-        self.sparse_warm = None;
+        self.session = OpenSetSession::sparse(&keywords(&self.tasks));
     }
 
     /// Drop the sparse warm-start state.
     pub fn disable_sparse_warm_start(&mut self) {
-        self.sparse_cache = None;
-        self.sparse_warm = None;
+        if self.sparse_warm_start_enabled() {
+            self.session = OpenSetSession::Off;
+        }
     }
 
     /// Whether sparse warm-start matching is active.
     pub fn sparse_warm_start_enabled(&self) -> bool {
-        self.sparse_cache.is_some()
+        self.session.sparse_cache().is_some()
     }
 
     /// Install a candidate-generation stage (sparse mode). Subsequent
@@ -336,82 +329,21 @@ impl IterationEngine {
             Arc::clone(&self.distance),
             false,
         )?;
-        // Edge reuse: the frozen tasks' global indices are ascending (pool
-        // order, and candidate selection keeps them sorted), so the filtered
-        // sublist of the global sorted edge list is exactly what enumerating
-        // and sorting this instance would produce. Fall back to a fresh
-        // solve if a future code path ever breaks the ordering.
-        // The cache is only trusted when its catalog fingerprint still
-        // matches the pool. On mismatch (catalog swapped or restored from
-        // elsewhere) the cache is *rebuilt in place*, not merely bypassed:
-        // bypassing would leave the stale fingerprint stored and silently
-        // re-enumerate edges on every subsequent iteration.
-        if self
-            .edge_cache
-            .as_ref()
-            .is_some_and(|c| !c.valid_for(self.tasks.tasks().iter().map(|t| &t.keywords)))
-        {
-            self.enable_edge_reuse(0);
-        }
-        let out = match self.edge_cache.as_ref() {
-            Some(cache) => {
-                let open: Vec<u32> = local_to_global.iter().map(|t| t.0).collect();
-                if open.windows(2).all(|w| w[0] < w[1]) {
-                    match self.warm.as_mut() {
-                        Some(warm) if warm.matches_cache(cache) && open.len() == inst.n_tasks() => {
-                            solver.solve_warm(&inst, cache, warm, &open, rng)
-                        }
-                        _ => {
-                            let edges = cache.filter_sorted(&open);
-                            solver.solve_with_diversity_edges(&inst, &edges, rng)
-                        }
-                    }
-                } else {
-                    solver.solve(&inst, rng)
-                }
-            }
-            None => match self.sparse_cache.as_mut() {
-                Some(cache) => {
-                    // Same staleness rule as the dense cache: a cache whose
-                    // fingerprint no longer matches the catalog is reset in
-                    // place (members re-enumerate on this refresh).
-                    let fp = keywords_fingerprint(self.tasks.tasks().iter().map(|t| &t.keywords));
-                    if cache.fingerprint() != fp {
-                        *cache = SparseEdgeCache::new(fp, self.tasks.len());
-                        self.sparse_warm = None;
-                    }
-                    let open: Vec<u32> = local_to_global.iter().map(|t| t.0).collect();
-                    if open.windows(2).all(|w| w[0] < w[1]) {
-                        let pool = &self.tasks;
-                        let dist = self.distance.as_ref();
-                        let weight = |u: u32, v: u32| {
-                            dist.dist(
-                                &pool.tasks()[u as usize].keywords,
-                                &pool.tasks()[v as usize].keywords,
-                            )
-                        };
-                        cache.refresh(&open, weight);
-                        if self.sparse_warm.is_none() {
-                            self.sparse_warm = Some(SparseWarmState::new(cache));
-                        }
-                        match self.sparse_warm.as_mut() {
-                            Some(warm)
-                                if warm.matches_cache(cache) && open.len() == inst.n_tasks() =>
-                            {
-                                solver.solve_warm_sparse(&inst, cache, warm, &open, rng)
-                            }
-                            _ => {
-                                let edges = cache.filter_sorted(&open);
-                                solver.solve_with_diversity_edges(&inst, &edges, rng)
-                            }
-                        }
-                    } else {
-                        solver.solve(&inst, rng)
-                    }
-                }
-                None => solver.solve(&inst, rng),
-            },
-        };
+        // The frozen tasks' global indices ascend (pool order, and candidate
+        // selection keeps them sorted), so the session's edge reuse applies;
+        // its guards fall back to a fresh solve if that ever breaks. The
+        // cache is only trusted while its catalog fingerprint still matches
+        // the pool (catalog swapped or restored from elsewhere).
+        let keywords = keywords(&self.tasks);
+        self.session
+            .revalidate(&keywords, self.distance.as_ref(), 0);
+        let open: Vec<usize> = local_to_global.iter().map(|t| t.0 as usize).collect();
+        let members: Vec<u32> = local_to_global.iter().map(|t| t.0).collect();
+        let dist = self.distance.as_ref();
+        self.session.refresh_pool(&members, |u, v| {
+            dist.dist(keywords[u as usize], keywords[v as usize])
+        });
+        let out = self.session.solve(solver, &inst, &open, rng);
         out.assignment.validate(&inst)?;
         let objective = out.assignment.objective(&inst);
 
@@ -444,7 +376,7 @@ impl IterationEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitvec::KeywordVec;
+    use crate::edges::DiversityEdgeCache;
     use crate::solver::{HtaGre, RandomAssign};
     use crate::task::GroupId;
     use rand::rngs::StdRng;
@@ -517,7 +449,10 @@ mod tests {
                 )
             })
             .collect();
-        stale.edge_cache = Some(DiversityEdgeCache::build(&other, &Jaccard, 1));
+        stale.session = OpenSetSession::Dense {
+            cache: DiversityEdgeCache::build(&other, &Jaccard, 1),
+            warm: None,
+        };
         let mut rng = StdRng::seed_from_u64(5);
         let got = stale.run_iteration(&HtaGre::new(), &mut rng).unwrap();
         assert_eq!(got.assignments, expect.assignments);
@@ -525,8 +460,8 @@ mod tests {
         // The stored cache must now fingerprint-match the live catalog —
         // the old behavior left the stale fingerprint in place forever.
         assert!(stale
-            .edge_cache
-            .as_ref()
+            .session
+            .dense_cache()
             .unwrap()
             .valid_for(stale.tasks.tasks().iter().map(|t| &t.keywords)));
 
@@ -593,7 +528,10 @@ mod tests {
                 )
             })
             .collect();
-        engine.edge_cache = Some(DiversityEdgeCache::build(&other, &Jaccard, 1));
+        engine.session = OpenSetSession::Dense {
+            cache: DiversityEdgeCache::build(&other, &Jaccard, 1),
+            warm: None,
+        };
 
         let mut rng = StdRng::seed_from_u64(11);
         // First iteration pays one rebuild: ≥ n(n−1)/2 distance calls.

@@ -74,6 +74,7 @@ pub mod keywords;
 pub mod metric;
 pub mod motivation;
 pub mod qap;
+pub mod session;
 pub mod solver;
 pub mod sparse;
 pub mod state;
@@ -92,6 +93,7 @@ pub use iteration::{CandidateGenerator, IterationEngine, IterationResult};
 pub use kernels::{PackedCatalog, SimdMode};
 pub use keywords::{KeywordId, KeywordSpace};
 pub use metric::{Distance, Jaccard};
+pub use session::{EdgeSource, OpenSetSession};
 pub use solver::{SolveOutcome, Solver};
 pub use sparse::{SparseDelta, SparseEdgeCache, SparseRefreshStats};
 pub use state::{StateDecodeError, StateReader, StateSerialize};

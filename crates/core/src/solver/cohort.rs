@@ -53,21 +53,6 @@ pub fn solve_open_subset(
     }
 }
 
-/// Merge several candidate pools (each a list of catalog indices) into
-/// one joint open subset in the form [`solve_open_subset`] requires:
-/// strictly increasing, duplicates collapsed.
-///
-/// Pool membership is a set — input order carries no information — so any
-/// partition of the same candidates merges to the same subset and the
-/// downstream **one** joint solve is byte-identical to a solve over the
-/// unpartitioned pool.
-pub fn merge_open_subsets(pools: &[Vec<usize>]) -> Vec<usize> {
-    let mut merged: Vec<usize> = pools.iter().flatten().copied().collect();
-    merged.sort_unstable();
-    merged.dedup();
-    merged
-}
-
 /// [`solve_open_subset`] carrying warm-start state between solves.
 ///
 /// The warm path is taken only when *all* of [`solve_open_subset`]'s
@@ -176,18 +161,6 @@ mod tests {
                 .with_weights(Weights::from_alpha(0.7)),
         ];
         Instance::new(local, workers, 3).unwrap()
-    }
-
-    #[test]
-    fn merged_subsets_are_sorted_unique_and_partition_invariant() {
-        let a = vec![vec![5usize, 1, 9], vec![3, 5, 0], vec![]];
-        let b = vec![vec![0usize, 9], vec![1], vec![3, 5, 5]];
-        let merged = merge_open_subsets(&a);
-        assert_eq!(merged, vec![0, 1, 3, 5, 9]);
-        assert_eq!(merged, merge_open_subsets(&b), "partition-invariant");
-        assert!(merge_open_subsets(&[]).is_empty());
-        // The output satisfies solve_open_subset's strictly-increasing gate.
-        assert!(merged.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -12,9 +12,7 @@ pub mod sparse_warm;
 pub mod warm;
 
 pub use baselines::{GreedyMotivation, GreedyRelevance, RandomAssign};
-pub use cohort::{
-    merge_open_subsets, solve_open_subset, solve_open_subset_sparse_warm, solve_open_subset_warm,
-};
+pub use cohort::{solve_open_subset, solve_open_subset_sparse_warm, solve_open_subset_warm};
 pub use exact::ExactSolver;
 pub use hta_app::HtaApp;
 pub use hta_gre::HtaGre;

@@ -42,7 +42,7 @@ use crate::edges::{enumerate_positive_edges, DiversityEdgeCache};
 use crate::instance::Instance;
 use crate::qap::{assignment_from_permutation, worker_of_vertex};
 use crate::solver::sparse_warm::SparseWarmState;
-use crate::solver::warm::WarmState;
+use crate::solver::warm::{LsapMemo, WarmState};
 use crate::solver::{PhaseTimings, SolveOutcome};
 use crate::sparse::SparseEdgeCache;
 
@@ -114,10 +114,7 @@ fn solve_via_qap_impl(
     let t_start = Instant::now();
     let threads = hta_par::solver_threads(opts.threads);
     let n_real = inst.n_tasks();
-    let nw = inst.n_workers();
-    let xmax = inst.xmax();
-    // Pad so every clique has X_max vertices.
-    let n = n_real.max(nw * xmax);
+    let n = padded_len(inst);
 
     // ---- Step 2: greedy max-weight matching M_B on diversity -------------
     let (mb, edge_enum_time, matching_time) = match presorted {
@@ -190,47 +187,12 @@ pub(crate) fn solve_via_qap_warm(
         return solve_via_qap_with_edges(inst, opts, &cache.filter_sorted(open), rng);
     }
 
-    let t_start = Instant::now();
-    let threads = hta_par::solver_threads(opts.threads);
-    let nw = inst.n_workers();
-    let xmax = inst.xmax();
-    let n = n_real.max(nw * xmax);
-
     // ---- Step 2, incremental: diff + local repair + extraction -----------
-    let t_matching = Instant::now();
+    let t_start = Instant::now();
+    let n = padded_len(inst);
     warm.update_open(cache, open);
     let mb = warm.extract_matching(cache, n);
-    let matching_time = t_matching.elapsed();
-
-    let bm = bm_vector(n, &mb);
-
-    // ---- Steps 3-4 with the input-keyed memo ------------------------------
-    let t_lsap = Instant::now();
-    let key = lsap_memo_key(inst, opts, n, &bm);
-    let lsap_solution = match warm.memo_get(key) {
-        Some(sol) => sol,
-        None => {
-            let sol = compute_lsap(inst, opts, threads, &bm);
-            warm.memo_put(key, &sol);
-            sol
-        }
-    };
-    let lsap_time = t_lsap.elapsed();
-
-    finish(
-        inst,
-        opts,
-        mb,
-        lsap_solution,
-        PhaseTimings {
-            edge_enum: std::time::Duration::ZERO,
-            matching: matching_time,
-            lsap: lsap_time,
-            total: std::time::Duration::ZERO, // patched below
-        },
-        t_start,
-        rng,
-    )
+    finish_warm(inst, opts, &mut warm.memo, mb, t_start, rng)
 }
 
 /// [`solve_via_qap_warm`] over a pool-scoped [`SparseEdgeCache`] — the
@@ -267,29 +229,45 @@ pub(crate) fn solve_via_qap_sparse_warm(
         return solve_via_qap_with_edges(inst, opts, &cache.filter_sorted(open), rng);
     }
 
-    let t_start = Instant::now();
-    let threads = hta_par::solver_threads(opts.threads);
-    let nw = inst.n_workers();
-    let xmax = inst.xmax();
-    let n = n_real.max(nw * xmax);
-
     // ---- Step 2, incremental: epoch sync + diff + local repair -----------
-    let t_matching = Instant::now();
+    let t_start = Instant::now();
+    let n = padded_len(inst);
     warm.sync(cache);
     warm.update_open(cache, open);
     let mb = warm.extract_matching(n);
-    let matching_time = t_matching.elapsed();
+    finish_warm(inst, opts, &mut warm.memo, mb, t_start, rng)
+}
 
+/// Vertex count after padding every clique to `X_max` vertices.
+fn padded_len(inst: &Instance) -> usize {
+    inst.n_tasks().max(inst.n_workers() * inst.xmax())
+}
+
+/// The shared tail of both warm paths, given the repaired matching `mb`
+/// (started at `t_start`): steps 3-4 served from the input-keyed `memo`
+/// when the profit matrix is bit-identical to the previous solve's, then
+/// steps 5-6.
+fn finish_warm(
+    inst: &Instance,
+    opts: PipelineOptions,
+    memo: &mut LsapMemo,
+    mb: Matching,
+    t_start: Instant,
+    rng: &mut dyn Rng,
+) -> SolveOutcome {
+    let matching_time = t_start.elapsed();
+    let threads = hta_par::solver_threads(opts.threads);
+    let n = padded_len(inst);
     let bm = bm_vector(n, &mb);
 
     // ---- Steps 3-4 with the input-keyed memo ------------------------------
     let t_lsap = Instant::now();
     let key = lsap_memo_key(inst, opts, n, &bm);
-    let lsap_solution = match warm.memo_get(key) {
-        Some(sol) => sol,
-        None => {
+    let lsap_solution = match memo {
+        Some((k, sol)) if *k == key => sol.clone(),
+        _ => {
             let sol = compute_lsap(inst, opts, threads, &bm);
-            warm.memo_put(key, &sol);
+            *memo = Some((key, sol.clone()));
             sol
         }
     };

@@ -30,8 +30,9 @@
 //! and the first solve pays one rebind — output is unchanged.
 
 use hta_matching::incremental::UpdateStats;
-use hta_matching::{DynamicMatching, LsapSolution, Matching};
+use hta_matching::{DynamicMatching, Matching};
 
+use crate::solver::warm::LsapMemo;
 use crate::sparse::SparseEdgeCache;
 
 /// Matching and LSAP state carried across sparse-pipeline solves. See the
@@ -46,7 +47,7 @@ pub struct SparseWarmState {
     /// and open-set deltas.
     dynm: DynamicMatching,
     /// Input-keyed memo of the last LSAP solution.
-    memo: Option<(u64, LsapSolution)>,
+    pub(crate) memo: LsapMemo,
     /// Stats of the most recent open-set update (observability/tests).
     last_stats: UpdateStats,
     /// Whether the most recent [`sync`](Self::sync) fell back to a full
@@ -142,19 +143,6 @@ impl SparseWarmState {
     /// rebind (delta replay unavailable).
     pub fn last_rebind(&self) -> bool {
         self.last_rebind
-    }
-
-    /// Look up the memoized LSAP solution for `key`.
-    pub(crate) fn memo_get(&self, key: u64) -> Option<LsapSolution> {
-        match &self.memo {
-            Some((k, sol)) if *k == key => Some(sol.clone()),
-            _ => None,
-        }
-    }
-
-    /// Store the LSAP solution computed for `key`.
-    pub(crate) fn memo_put(&mut self, key: u64, sol: &LsapSolution) {
-        self.memo = Some((key, sol.clone()));
     }
 
     /// Whether the memo currently holds a solution (tests/observability).

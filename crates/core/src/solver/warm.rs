@@ -34,6 +34,10 @@ use hta_matching::{LsapSolution, Matching};
 
 use crate::edges::DiversityEdgeCache;
 
+/// Input-keyed memo of the last auxiliary-LSAP solution, `(key,
+/// solution)`, held by both warm states. See the [module docs](self).
+pub(crate) type LsapMemo = Option<(u64, LsapSolution)>;
+
 /// Matching and LSAP state carried from one cohort solve to the next. See
 /// the [module docs](self).
 #[derive(Debug, Clone)]
@@ -45,7 +49,7 @@ pub struct WarmState {
     /// space, maintained incrementally.
     inc: IncrementalMatching,
     /// Input-keyed memo of the last LSAP solution.
-    memo: Option<(u64, LsapSolution)>,
+    pub(crate) memo: LsapMemo,
     /// Stats of the most recent open-set update (observability/tests).
     last_stats: UpdateStats,
 }
@@ -115,19 +119,6 @@ impl WarmState {
     /// Stats of the most recent [`update_open`](Self::update_open).
     pub fn last_stats(&self) -> UpdateStats {
         self.last_stats
-    }
-
-    /// Look up the memoized LSAP solution for `key`.
-    pub(crate) fn memo_get(&self, key: u64) -> Option<LsapSolution> {
-        match &self.memo {
-            Some((k, sol)) if *k == key => Some(sol.clone()),
-            _ => None,
-        }
-    }
-
-    /// Store the LSAP solution computed for `key`.
-    pub(crate) fn memo_put(&mut self, key: u64, sol: &LsapSolution) {
-        self.memo = Some((key, sol.clone()));
     }
 
     /// Whether the memo currently holds a solution (tests/observability).

@@ -12,10 +12,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use hta_core::metric::Jaccard;
-use hta_core::solver::{HtaGre, SparseWarmState, WarmState};
+use hta_core::solver::{HtaGre, WarmState};
 use hta_core::{
-    keywords_fingerprint, DiversityEdgeCache, Instance, KeywordVec, Solver, SparseEdgeCache, Task,
-    TaskId, WeightEstimator, Weights, Worker, WorkerId,
+    EdgeSource, Instance, KeywordVec, OpenSetSession, Solver, SparseEdgeCache, Task, TaskId,
+    WeightEstimator, Weights, Worker, WorkerId,
 };
 use hta_datagen::crowdflower::{CrowdflowerCatalog, KINDS};
 use hta_datagen::quality::QualityModel;
@@ -275,52 +275,36 @@ pub struct Platform<'c> {
     /// sparse candidate path never rebuilds it.
     index: ShardedIndex,
     solver: Box<dyn Solver>,
-    /// Catalog-wide sorted diversity edge list, filtered per assignment
-    /// iteration (`None` when disabled or the catalog is too large; the
-    /// size cap is [`hta_core::edges::edge_cache_cap`] — a dense
-    /// 4096-task catalog tops out around 8M edges ≈ 200 MB).
-    edge_cache: Option<DiversityEdgeCache>,
-    /// Warm-start matching state carried between assignment iterations
-    /// (`Some` iff the config enables it and an edge cache exists).
-    warm: Option<WarmState>,
-    /// Incremental candidate-pool maintainer (`Some` iff the sparse
-    /// warm-start pipeline is active: warm start + top-k candidates and no
-    /// dense edge cache — i.e. the catalog is past the dense cap). Kept in
-    /// sync by [`Platform::open_task`]/[`Platform::take_task`], so pools
-    /// cost churn, not catalog scans.
+    /// Edge source and warm state of the assignment solves, built here from
+    /// [`EdgeSource::choose`] over `(catalog, cfg)`. Derived state: never
+    /// serialized (checkpoints carry only the dense warm essence, see
+    /// [`Platform::restore_warm`]); a resumed sparse run starts cold and
+    /// pays one rebind, output unchanged.
+    session: OpenSetSession,
+    /// Incremental candidate-pool maintainer (`Some` iff the session is
+    /// sparse). Kept in sync by [`Platform::open_task`]/
+    /// [`Platform::take_task`], so pools cost churn, not catalog scans.
     pool_maint: Option<PoolMaintainer>,
-    /// Pool-scoped sparse diversity edge cache, refreshed from the
-    /// maintainer's pool each assignment iteration (`Some` iff
-    /// `pool_maint` is). Never serialized — it is a pure function of the
-    /// pool membership and the catalog keywords.
-    sparse_cache: Option<SparseEdgeCache>,
-    /// Warm matching state over the sparse edges (`Some` after the first
-    /// sparse assignment iteration). Derived state like the cache: a
-    /// resumed run starts cold and pays one rebind, output unchanged.
-    sparse_warm: Option<SparseWarmState>,
     /// Lifecycle + reputation layer (`Some` iff the config enables it).
     life: Option<LifeState>,
 }
 
-/// The sparse warm-start components iff the config calls for them: top-k
-/// candidates, warm start on, edge reuse on, but no dense edge cache (the
-/// catalog is past the cap, so the dense `O(n²)` list is unavailable).
-fn sparse_components(
-    cfg: &PlatformConfig,
-    edge_cache: &Option<DiversityEdgeCache>,
+/// The open-set session `cfg` calls for over `catalog`, and the pool
+/// maintainer a sparse session needs.
+fn open_set_session(
     catalog: &CrowdflowerCatalog,
-) -> (Option<PoolMaintainer>, Option<SparseEdgeCache>) {
-    let CandidateMode::TopK(k) = cfg.candidates else {
-        return (None, None);
-    };
-    if !cfg.warm_start || !cfg.reuse_edges || edge_cache.is_some() {
-        return (None, None);
-    }
-    let fp = keywords_fingerprint(catalog.tasks.iter().map(|t| &t.task.keywords));
-    (
-        Some(PoolMaintainer::new(k)),
-        Some(SparseEdgeCache::new(fp, catalog.tasks.len())),
-    )
+    cfg: &PlatformConfig,
+) -> (OpenSetSession, Option<PoolMaintainer>) {
+    let source = EdgeSource::choose(
+        catalog.tasks.len(),
+        cfg.edge_cache_cap,
+        cfg.reuse_edges,
+        cfg.warm_start,
+        cfg.candidates.top_k(),
+    );
+    let keywords: Vec<&KeywordVec> = catalog.tasks.iter().map(|t| &t.task.keywords).collect();
+    let session = OpenSetSession::new(source, &keywords, &Jaccard, cfg.solver_threads);
+    (session, source.pool_k().map(PoolMaintainer::new))
 }
 
 impl<'c> Platform<'c> {
@@ -343,12 +327,7 @@ impl<'c> Platform<'c> {
             .collect();
         let nbits = catalog.space.len();
         let index = ShardedIndex::build(nbits, &pairs, cfg.index_shards);
-        let threads = hta_par::solver_threads(cfg.solver_threads);
-        let cache_cap = hta_core::edges::edge_cache_cap(cfg.edge_cache_cap);
-        let edge_cache = (cfg.reuse_edges && catalog.tasks.len() <= cache_cap).then(|| {
-            let tasks: Vec<Task> = catalog.tasks.iter().map(|t| t.task.clone()).collect();
-            DiversityEdgeCache::build(&tasks, &Jaccard, threads)
-        });
+        let (session, pool_maint) = open_set_session(catalog, &cfg);
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(cfg.solver_threads);
@@ -356,22 +335,14 @@ impl<'c> Platform<'c> {
             book: LifecycleBook::new(catalog.tasks.len(), &cfg.priority_mix, cfg.max_retries),
             reputations: Vec::new(),
         });
-        let warm = match (&edge_cache, cfg.warm_start) {
-            (Some(cache), true) => Some(WarmState::new(cache)),
-            _ => None,
-        };
-        let (pool_maint, sparse_cache) = sparse_components(&cfg, &edge_cache, catalog);
         Self {
             catalog,
             cfg,
             available: vec![true; catalog.tasks.len()],
             index,
             solver: Box::new(solver),
-            edge_cache,
-            warm,
+            session,
             pool_maint,
-            sparse_cache,
-            sparse_warm: None,
             life,
         }
     }
@@ -452,31 +423,18 @@ impl<'c> Platform<'c> {
                 }
             }
         }
-        let threads = hta_par::solver_threads(cfg.solver_threads);
-        let cache_cap = hta_core::edges::edge_cache_cap(cfg.edge_cache_cap);
-        let edge_cache = (cfg.reuse_edges && catalog.tasks.len() <= cache_cap).then(|| {
-            let tasks: Vec<Task> = catalog.tasks.iter().map(|t| t.task.clone()).collect();
-            DiversityEdgeCache::build(&tasks, &Jaccard, threads)
-        });
+        let (session, pool_maint) = open_set_session(catalog, &cfg);
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(cfg.solver_threads);
-        let warm = match (&edge_cache, cfg.warm_start) {
-            (Some(cache), true) => Some(WarmState::new(cache)),
-            _ => None,
-        };
-        let (pool_maint, sparse_cache) = sparse_components(&cfg, &edge_cache, catalog);
         Ok(Self {
             catalog,
             cfg,
             available,
             index,
             solver: Box::new(solver),
-            edge_cache,
-            warm,
+            session,
             pool_maint,
-            sparse_cache,
-            sparse_warm: None,
             life,
         })
     }
@@ -487,7 +445,7 @@ impl<'c> Platform<'c> {
     /// plus the open list — and rebuild the matching deterministically on
     /// restore through [`Platform::restore_warm`].
     pub fn warm(&self) -> Option<&WarmState> {
-        self.warm.as_ref()
+        self.session.warm()
     }
 
     /// The pool-scoped sparse edge cache (`None` unless the sparse
@@ -496,13 +454,13 @@ impl<'c> Platform<'c> {
     /// cap). Derived state — never checkpointed; a resumed run rebuilds it
     /// from the first pool and produces byte-identical assignments.
     pub fn sparse_cache(&self) -> Option<&SparseEdgeCache> {
-        self.sparse_cache.as_ref()
+        self.session.sparse_cache()
     }
 
     /// Whether the sparse warm-start pipeline has solved at least once
     /// (i.e. warm matching state exists over the sparse edges).
     pub fn sparse_warm_active(&self) -> bool {
-        self.sparse_warm.is_some()
+        matches!(self.session, OpenSetSession::Sparse { warm: Some(_), .. })
     }
 
     /// Reinstall checkpointed warm-start state: `fingerprint` must match the
@@ -518,7 +476,7 @@ impl<'c> Platform<'c> {
         if !self.cfg.warm_start {
             return Err("checkpoint carries warm-start state but the config disables it".into());
         }
-        let Some(cache) = self.edge_cache.as_ref() else {
+        let Some(cache) = self.session.dense_cache() else {
             return Err("warm-start state requires the diversity edge cache".into());
         };
         if cache.fingerprint() != fingerprint {
@@ -533,7 +491,7 @@ impl<'c> Platform<'c> {
         {
             return Err("warm-start open list is not a sorted in-range task set".into());
         }
-        self.warm = Some(WarmState::restore(cache, open));
+        self.session.restore_warm(open);
         Ok(())
     }
 
@@ -1219,20 +1177,12 @@ impl<'c> Platform<'c> {
                     // weights are computed only for pairs touching added
                     // members, everything else is retained.
                     let catalog = self.catalog;
-                    let weight = |u: u32, v: u32| {
+                    self.session.refresh_pool(pool.members(), |u, v| {
                         hta_core::kernels::jaccard_distance(
                             &catalog.tasks[u as usize].task.keywords,
                             &catalog.tasks[v as usize].task.keywords,
                         )
-                    };
-                    let cache = self
-                        .sparse_cache
-                        .as_mut()
-                        .expect("the maintainer and the sparse cache are paired");
-                    cache.refresh(pool.members(), weight);
-                    if self.sparse_warm.is_none() {
-                        self.sparse_warm = Some(SparseWarmState::new(cache));
-                    }
+                    });
                     pool.members().iter().map(|&t| t as usize).collect()
                 } else {
                     let pool = CandidatePool::generate(
@@ -1264,48 +1214,9 @@ impl<'c> Platform<'c> {
         // order (so the filtered sublist of the global sorted list equals a
         // fresh enumerate-and-sort). Full mode delivers that unless the
         // window was down-sampled (partial Fisher-Yates shuffles it); TopK
-        // pools are sorted by construction. `solve_open_subset_warm` checks
-        // this and falls back to a plain solve otherwise. The cached edge
-        // list is only trusted while its catalog fingerprint matches; on a
-        // mismatch (a cache paired with the wrong catalog on restore) it is
-        // rebuilt in place — merely bypassing it would leave the stale
-        // fingerprint stored and re-enumerate edges on every future solve.
-        if self
-            .edge_cache
-            .as_ref()
-            .is_some_and(|c| !c.valid_for(self.catalog.tasks.iter().map(|t| &t.task.keywords)))
-        {
-            let threads = hta_par::solver_threads(self.cfg.solver_threads);
-            let tasks: Vec<Task> = self.catalog.tasks.iter().map(|t| t.task.clone()).collect();
-            let cache = DiversityEdgeCache::build(&tasks, &Jaccard, threads);
-            // Any warm state was bound to the stale cache; rebind it.
-            if self.warm.is_some() {
-                self.warm = Some(WarmState::new(&cache));
-            }
-            self.edge_cache = Some(cache);
-        }
-        let out = if self.pool_maint.is_some() {
-            // Sparse pipeline: solve over the pool-scoped edge cache with
-            // warm matching repair. Falls back to a cold solve inside if
-            // any guard fails; byte-identical either way.
-            hta_core::solver::solve_open_subset_sparse_warm(
-                &*self.solver,
-                &inst,
-                &open,
-                self.sparse_cache.as_ref(),
-                self.sparse_warm.as_mut(),
-                rng,
-            )
-        } else {
-            hta_core::solver::solve_open_subset_warm(
-                &*self.solver,
-                &inst,
-                &open,
-                self.edge_cache.as_ref(),
-                self.warm.as_mut(),
-                rng,
-            )
-        };
+        // pools are sorted by construction. The session's guards check this
+        // and fall back to a plain solve otherwise; byte-identical either way.
+        let out = self.session.solve(&*self.solver, &inst, &open, rng);
         debug_assert!(out.assignment.validate(&inst).is_ok());
 
         for (li, &slot) in slots.iter().enumerate() {
@@ -1405,7 +1316,7 @@ mod tests {
                 ..Default::default()
             };
             let mut platform = Platform::new(&catalog, cfg);
-            assert_eq!(platform.edge_cache.is_some(), reuse_edges);
+            assert_eq!(platform.session.dense_cache().is_some(), reuse_edges);
             let mut rng = StdRng::seed_from_u64(19);
             platform.run_cohort(Strategy::HtaGre, &refs, &mut rng)
         };
@@ -1440,7 +1351,7 @@ mod tests {
                 ..Default::default()
             };
             let mut platform = Platform::new(&catalog, cfg);
-            assert_eq!(platform.warm.is_some(), warm_start);
+            assert_eq!(platform.session.warm().is_some(), warm_start);
             let mut rng = StdRng::seed_from_u64(37);
             let records = platform.run_cohort(Strategy::HtaGre, &refs, &mut rng);
             if warm_start {

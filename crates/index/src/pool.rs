@@ -32,6 +32,14 @@ pub enum CandidateMode {
 impl CandidateMode {
     /// The default per-worker retrieval depth for [`CandidateMode::TopK`].
     pub const DEFAULT_K: usize = 16;
+
+    /// The per-worker retrieval depth: `Some(k)` iff [`CandidateMode::TopK`].
+    pub fn top_k(self) -> Option<usize> {
+        match self {
+            CandidateMode::Full => None,
+            CandidateMode::TopK(k) => Some(k),
+        }
+    }
 }
 
 impl Default for CandidateMode {

@@ -318,16 +318,13 @@ impl PlatformState {
             index,
             mode: platform.mode,
             solver_threads: platform.solver_threads,
-            // The edge cache and warm-start state are derived over the
-            // immutable catalog; neither is serialized and both rebuild
-            // on the first solve, with byte-identical output either way.
-            edge_cache: None,
-            warm: None,
             warm_start: true,
             edge_cache_cap: 0,
+            // The session is derived over the immutable catalog; it is not
+            // serialized and rebuilds on the first solve, with
+            // byte-identical output either way.
+            session: None,
             pool_maint: None,
-            sparse_cache: None,
-            sparse_warm: None,
         }))
     }
 }
@@ -354,6 +351,19 @@ mod tests {
         s.complete(w0, a0.tasks[1]).unwrap();
         s.complete_with_outcome(w1, a1.tasks[0], false).unwrap();
         s
+    }
+
+    #[test]
+    fn replica_swap_keeps_node_configuration() {
+        let s = busy_state();
+        s.set_edge_cache_cap(123);
+        s.set_warm_start(false);
+        let other = busy_state();
+        s.replace_from_snapshot_bytes(&other.snapshot_bytes())
+            .unwrap();
+        assert_eq!(s.edge_cache_cap(), 123);
+        assert!(!s.warm_start());
+        assert_eq!(s.snapshot_bytes(), other.snapshot_bytes());
     }
 
     #[test]

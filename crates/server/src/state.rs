@@ -5,12 +5,10 @@
 use std::sync::Mutex;
 
 use hta_core::adaptive::WeightEstimator;
-use hta_core::solver::{
-    solve_open_subset_sparse_warm, solve_open_subset_warm, HtaGre, SparseWarmState, WarmState,
-};
+use hta_core::solver::HtaGre;
 use hta_core::{
-    keywords_fingerprint, DiversityEdgeCache, Instance, Jaccard, KeywordSpace, KeywordVec,
-    SparseEdgeCache, Task, TaskId, TaskPool, Weights, Worker, WorkerId,
+    EdgeSource, Instance, Jaccard, KeywordSpace, KeywordVec, OpenSetSession, Task, TaskId,
+    TaskPool, Weights, Worker, WorkerId,
 };
 use hta_index::{CandidateMode, CandidatePool, PoolMaintainer, PoolParams, ShardedIndex};
 use hta_life::Reputation;
@@ -128,118 +126,64 @@ pub(crate) struct Inner {
     pub(crate) mode: CandidateMode,
     /// Thread count handed to the solver pipeline (`0` = auto).
     pub(crate) solver_threads: usize,
-    /// Catalog-level positive-diversity edge list, built lazily on the
-    /// first solve (small catalogs only) and reused by every solve after
-    /// it. Deliberately **not** serialized: snapshot bytes stay identical
-    /// to the pre-cache format and a restored server rebuilds on first
-    /// use, with byte-identical solver output either way.
-    pub(crate) edge_cache: Option<DiversityEdgeCache>,
-    /// Warm-start state carried between solves: the previous solve's
-    /// greedy matching over the cached catalog edges, repaired
-    /// incrementally as the open set churns. Like the edge cache it is
-    /// derived state — never serialized, rebuilt lazily after a restore —
-    /// and the solver output is byte-identical with or without it.
-    pub(crate) warm: Option<WarmState>,
     /// Operator toggle for the warm path (default on; purely a
-    /// performance knob, output is unaffected).
+    /// performance knob, output is unaffected). Node configuration: not
+    /// serialized, carried across a replica's snapshot swaps.
     pub(crate) warm_start: bool,
     /// Requested dense edge-cache catalog cap (`0` = auto:
     /// `HTA_EDGE_CACHE_CAP` or the built-in default). Set by the
     /// `--edge-cache-cap` server flag; the resolved value is shown in
-    /// `/stats`.
+    /// `/stats`. Node configuration like `warm_start`.
     pub(crate) edge_cache_cap: usize,
-    /// Incremental candidate-pool maintainer for the sparse warm-start
-    /// pipeline (top-k mode past the dense cap). Derived state — never
-    /// serialized; rebuilt lazily after a restore with byte-identical
-    /// assignments.
+    /// Edge source and warm state of the solves, derived from
+    /// [`EdgeSource::choose`] on the first assignment after construction
+    /// or a configuration change (`None` until then). Deliberately **not**
+    /// serialized: snapshot bytes stay identical to the pre-cache format
+    /// and a restored server rebuilds on first use, with byte-identical
+    /// solver output either way.
+    pub(crate) session: Option<OpenSetSession>,
+    /// Incremental candidate-pool maintainer, `Some` iff the session is
+    /// sparse (top-k mode past the dense cap). Derived like the session.
     pub(crate) pool_maint: Option<PoolMaintainer>,
-    /// Pool-scoped sparse diversity edge cache (paired with `pool_maint`).
-    pub(crate) sparse_cache: Option<SparseEdgeCache>,
-    /// Warm matching state over the sparse edges.
-    pub(crate) sparse_warm: Option<SparseWarmState>,
 }
 
 impl Inner {
-    /// Build the catalog-level diversity-edge cache on first use.
-    ///
-    /// Above the configured catalog-size cap
-    /// ([`hta_core::edges::edge_cache_cap`], overridable via
-    /// `HTA_EDGE_CACHE_CAP`) the cache's O(n²) build time and memory are
-    /// not worth holding; solves fall back to per-instance enumeration.
-    ///
-    /// Soundness: the task catalog never mutates after construction, and
-    /// keyword-space widening only appends zero bits to task vectors —
-    /// Jaccard counts are unchanged — so a cache built over the original
-    /// stored vectors stays bit-exact for every later (possibly widened)
-    /// sub-instance. Both candidate paths produce strictly ascending
-    /// catalog indices (`Full` filters an ascending range, `TopK` pools
-    /// sort their members), which [`solve_open_subset_warm`] verifies
-    /// before reusing the edges or the warm matching.
-    fn ensure_edge_cache(&mut self) {
-        if self.edge_cache.is_none() && self.tasks.len() <= self.resolved_edge_cache_cap() {
-            self.edge_cache = Some(DiversityEdgeCache::build(
-                self.tasks.tasks(),
-                &Jaccard,
-                hta_par::solver_threads(self.solver_threads),
-            ));
-        }
-        if self.warm_start && self.warm.is_none() {
-            if let Some(cache) = &self.edge_cache {
-                self.warm = Some(WarmState::new(cache));
-            }
-        }
-    }
-
     /// The dense edge-cache catalog cap in effect: the configured override
     /// when set, else `HTA_EDGE_CACHE_CAP`, else the built-in default.
     pub(crate) fn resolved_edge_cache_cap(&self) -> usize {
         hta_core::edges::edge_cache_cap(self.edge_cache_cap)
     }
 
-    /// The sparse warm-start pipeline's retrieval depth, `Some(k)` iff the
-    /// pipeline applies: warm solves on, top-k candidates, and a catalog
-    /// past the dense edge-cache cap (where `ensure_edge_cache` would
-    /// decline to build).
-    fn sparse_mode_k(&self) -> Option<usize> {
-        match self.mode {
-            CandidateMode::TopK(k)
-                if self.warm_start && self.tasks.len() > self.resolved_edge_cache_cap() =>
-            {
-                Some(k)
-            }
-            _ => None,
-        }
+    /// Derive the session from the current configuration, installing the
+    /// pool maintainer a sparse session needs.
+    ///
+    /// Soundness of reusing the dense edges: the task catalog never mutates
+    /// after construction, and keyword-space widening only appends zero
+    /// bits to task vectors — Jaccard counts are unchanged — so a cache
+    /// built over the original stored vectors stays bit-exact for every
+    /// later (possibly widened) sub-instance. Both candidate paths produce
+    /// strictly ascending catalog indices (`Full` filters an ascending
+    /// range, `TopK` pools sort their members), which the session's guards
+    /// verify before reusing the edges or the warm matching.
+    fn derive_session(&mut self) -> OpenSetSession {
+        let source = EdgeSource::choose(
+            self.tasks.len(),
+            self.edge_cache_cap,
+            true,
+            self.warm_start,
+            self.mode.top_k(),
+        );
+        let keywords: Vec<&KeywordVec> = self.tasks.tasks().iter().map(|t| &t.keywords).collect();
+        let session = OpenSetSession::new(source, &keywords, &Jaccard, self.solver_threads);
+        self.pool_maint = source.pool_k().map(PoolMaintainer::new);
+        session
     }
 
-    /// Make the sparse components exist and match retrieval depth `k`.
-    fn ensure_sparse(&mut self, k: usize) {
-        if self.pool_maint.as_ref().is_some_and(|m| m.k() == k) && self.sparse_cache.is_some() {
-            return;
-        }
-        let fp = keywords_fingerprint(self.tasks.tasks().iter().map(|t| &t.keywords));
-        self.pool_maint = Some(PoolMaintainer::new(k));
-        self.sparse_cache = Some(SparseEdgeCache::new(fp, self.tasks.len()));
-        self.sparse_warm = None;
-    }
-
-    /// Refresh the sparse edge cache to exactly `members` (weights computed
-    /// only for pairs touching added members) and make warm matching state
-    /// exist. Weights run over the *stored* task vectors: widening appends
-    /// zero bits, which changes no popcount, so they are bit-equal to the
-    /// pool instance's diversity values.
-    fn refresh_sparse(&mut self, members: &[u32]) {
-        let tasks = &self.tasks;
-        let weight = |u: u32, v: u32| {
-            hta_core::kernels::jaccard_distance(
-                &tasks.get(TaskId(u)).keywords,
-                &tasks.get(TaskId(v)).keywords,
-            )
-        };
-        let cache = self.sparse_cache.as_mut().expect("ensured by the caller");
-        cache.refresh(members, weight);
-        if self.sparse_warm.is_none() {
-            self.sparse_warm = Some(SparseWarmState::new(cache));
-        }
+    /// Drop the derived session after a configuration change; the next
+    /// assignment rebuilds it.
+    fn reset_session(&mut self) {
+        self.session = None;
+        self.pool_maint = None;
     }
 
     /// Take a task off the open pool: availability, the keyword index, and
@@ -305,13 +249,10 @@ impl PlatformState {
                 index,
                 mode,
                 solver_threads,
-                edge_cache: None,
-                warm: None,
                 warm_start: true,
                 edge_cache_cap: 0,
+                session: None,
                 pool_maint: None,
-                sparse_cache: None,
-                sparse_warm: None,
             }),
         }
     }
@@ -328,10 +269,15 @@ impl PlatformState {
         }
     }
 
-    /// Swap the entire inner state for `fresh`'s (replica apply path).
+    /// Swap the entire inner state for `fresh`'s (replica apply path),
+    /// keeping this node's configuration (`warm_start`, `edge_cache_cap`):
+    /// it never travels in snapshots.
     pub(crate) fn replace_with(&self, fresh: PlatformState) {
-        let inner = fresh.inner.into_inner().expect("fresh state lock");
-        *self.inner.lock().expect("state lock") = inner;
+        let mut fresh = fresh.inner.into_inner().expect("fresh state lock");
+        let mut inner = self.inner.lock().expect("state lock");
+        fresh.warm_start = inner.warm_start;
+        fresh.edge_cache_cap = inner.edge_cache_cap;
+        *inner = fresh;
     }
 
     /// Switch the candidate-generation mode at runtime (the index is kept
@@ -339,12 +285,7 @@ impl PlatformState {
     pub fn set_candidate_mode(&self, mode: CandidateMode) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.mode = mode;
-        // The sparse pipeline is scoped to one retrieval depth; it
-        // re-materializes lazily under the new mode (derived state, so
-        // dropping it never changes assignments).
-        inner.pool_maint = None;
-        inner.sparse_cache = None;
-        inner.sparse_warm = None;
+        inner.reset_session();
     }
 
     /// The active candidate-generation mode.
@@ -356,17 +297,11 @@ impl PlatformState {
     /// performance knob: the warm path repairs the previous solve's
     /// greedy matching instead of rebuilding it, with byte-identical
     /// assignments either way, so flipping mid-stream is always safe.
-    /// Disabling drops the carried state; re-enabling rebuilds it lazily
-    /// on the next solve.
+    /// The derived session is rebuilt lazily on the next solve.
     pub fn set_warm_start(&self, enabled: bool) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.warm_start = enabled;
-        if !enabled {
-            inner.warm = None;
-            inner.pool_maint = None;
-            inner.sparse_cache = None;
-            inner.sparse_warm = None;
-        }
+        inner.reset_session();
     }
 
     /// Whether warm-started solves are enabled.
@@ -376,17 +311,14 @@ impl PlatformState {
 
     /// Override the dense edge-cache catalog cap (`0` = auto:
     /// `HTA_EDGE_CACHE_CAP`, then the built-in default). Node
-    /// configuration: not replicated and not serialized — the server re-applies its flag after a restore. When
-    /// the catalog no longer fits the new cap, the dense cache and its warm
-    /// state are dropped so the sparse pipeline can take over; assignments
-    /// are byte-identical either way.
+    /// configuration: not replicated and not serialized — the server
+    /// re-applies its flag after a restore, and a replica keeps it across
+    /// replicated updates. The derived session is rebuilt lazily on the next
+    /// solve under the new cap; assignments are byte-identical either way.
     pub fn set_edge_cache_cap(&self, cap: usize) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.edge_cache_cap = cap;
-        if inner.tasks.len() > inner.resolved_edge_cache_cap() {
-            inner.edge_cache = None;
-            inner.warm = None;
-        }
+        inner.reset_session();
     }
 
     /// The dense edge-cache catalog cap in effect (shown in `/stats`).
@@ -483,6 +415,21 @@ impl PlatformState {
         if cohort.is_empty() {
             return Ok(Vec::new());
         }
+        let mut session = match inner.session.take() {
+            Some(session) => session,
+            None => inner.derive_session(),
+        };
+        let results = Self::pool_and_solve(inner, &mut session, cohort);
+        inner.session = Some(session);
+        Ok(results)
+    }
+
+    /// The pool and the joint solve for a validated, non-empty `cohort`.
+    fn pool_and_solve(
+        inner: &mut Inner,
+        session: &mut OpenSetSession,
+        cohort: &[usize],
+    ) -> Vec<AssignResult> {
         let width = inner.space.len();
         let mut weights = Vec::with_capacity(cohort.len());
         let mut local_workers = Vec::with_capacity(cohort.len());
@@ -505,8 +452,7 @@ impl PlatformState {
                 .take(inner.max_instance_tasks)
                 .collect(),
             CandidateMode::TopK(k) => {
-                let pool = if inner.sparse_mode_k() == Some(k) {
-                    inner.ensure_sparse(k);
+                let pool = if let Some(maint) = inner.pool_maint.as_mut() {
                     // Incremental pool: the maintainer absorbed the churn
                     // since the last solve, byte-identical to `generate`
                     // over the live index with the same (widened) keyword
@@ -516,9 +462,17 @@ impl PlatformState {
                         .zip(&local_workers)
                         .map(|(&w, lw)| (w as u64, &lw.keywords))
                         .collect();
-                    let maint = inner.pool_maint.as_mut().expect("ensured above");
                     let (pool, _delta) = maint.pool_for(&inner.index, &cohort_kw, inner.xmax);
-                    inner.refresh_sparse(pool.members());
+                    // Weights run over the *stored* task vectors: widening
+                    // appends zero bits, which changes no popcount, so they
+                    // are bit-equal to the pool instance's diversity values.
+                    let tasks = &inner.tasks;
+                    session.refresh_pool(pool.members(), |u, v| {
+                        hta_core::kernels::jaccard_distance(
+                            &tasks.get(TaskId(u)).keywords,
+                            &tasks.get(TaskId(v)).keywords,
+                        )
+                    });
                     pool
                 } else {
                     CandidatePool::generate(
@@ -532,14 +486,14 @@ impl PlatformState {
             }
         };
         if open.is_empty() {
-            return Ok(weights
+            return weights
                 .iter()
                 .map(|w| AssignResult {
                     tasks: Vec::new(),
                     alpha: w.alpha(),
                     beta: w.beta(),
                 })
-                .collect());
+                .collect();
         }
         let local_tasks: Vec<Task> = open
             .iter()
@@ -560,28 +514,7 @@ impl PlatformState {
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(inner.solver_threads);
-        let out = if inner.sparse_mode_k().is_some() {
-            // Sparse warm pipeline: the cache was refreshed to exactly this
-            // pool above; repair the carried matching over its edges.
-            solve_open_subset_sparse_warm(
-                &solver,
-                &inst,
-                &open,
-                inner.sparse_cache.as_ref(),
-                inner.sparse_warm.as_mut(),
-                &mut inner.rng,
-            )
-        } else {
-            inner.ensure_edge_cache();
-            solve_open_subset_warm(
-                &solver,
-                &inst,
-                &open,
-                inner.edge_cache.as_ref(),
-                inner.warm.as_mut(),
-                &mut inner.rng,
-            )
-        };
+        let out = session.solve(&solver, &inst, &open, &mut inner.rng);
 
         let mut results = Vec::with_capacity(cohort.len());
         for (li, (&w, est)) in cohort.iter().zip(&weights).enumerate() {
@@ -598,7 +531,7 @@ impl PlatformState {
                 beta: est.beta(),
             });
         }
-        Ok(results)
+        results
     }
 
     /// Record a completion (Figure 4's "Notify t completed by w"): updates
@@ -1184,13 +1117,26 @@ mod tests {
         // The sparse pipeline actually engaged (not a silent dense fallback).
         sparse.with_inner(|i| {
             assert!(i.pool_maint.is_some(), "pool maintainer never built");
-            let cache = i.sparse_cache.as_ref().expect("sparse cache never built");
+            let session = i.session.as_ref();
+            let cache = session
+                .and_then(|s| s.sparse_cache())
+                .expect("sparse cache never built");
             assert!(!cache.members().is_empty(), "sparse cache has no members");
-            assert!(i.sparse_warm.is_some(), "sparse warm state never built");
+            assert!(
+                matches!(session, Some(OpenSetSession::Sparse { warm: Some(_), .. })),
+                "sparse warm state never built"
+            );
         });
         dense.with_inner(|i| {
-            assert!(i.sparse_cache.is_none(), "dense twin built a sparse cache");
-            assert!(i.edge_cache.is_some(), "dense twin never built its cache");
+            let session = i.session.as_ref();
+            assert!(
+                session.and_then(|s| s.sparse_cache()).is_none(),
+                "dense twin built a sparse cache"
+            );
+            assert!(
+                session.and_then(|s| s.dense_cache()).is_some(),
+                "dense twin never built its cache"
+            );
         });
         // Serialized state is identical: the sparse pipeline is derived,
         // never snapshotted.
@@ -1214,7 +1160,7 @@ mod tests {
         assert_eq!(s.edge_cache_cap(), 100);
         // Shrinking the cap below the catalog drops the dense cache so the
         // sparse pipeline can take over on the next TopK solve.
-        s.with_inner(|i| assert!(i.edge_cache.is_none()));
+        s.with_inner(|i| assert!(i.session.as_ref().and_then(|s| s.dense_cache()).is_none()));
         s.set_edge_cache_cap(0);
         if std::env::var("HTA_EDGE_CACHE_CAP").is_err() {
             assert_eq!(
