@@ -10,7 +10,7 @@ use hta_core::prelude::*;
 use hta_core::solver::LocalSearch;
 use hta_datagen::amt::{generate_exact, AmtConfig};
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
-use hta_index::{CandidatePool, InvertedIndex, PoolParams, ShardedIndex};
+use hta_index::{CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,7 +46,7 @@ fn corpus(n_tasks: usize, n_workers: usize, seed: u64) -> Corpus {
 
 fn build_index(c: &Corpus) -> InvertedIndex {
     let pairs: Vec<(u32, &KeywordVec)> = c.tasks.iter().map(|t| (t.id.0, &t.keywords)).collect();
-    InvertedIndex::build(c.nbits, &pairs, hta_par::default_threads())
+    InvertedIndex::build(c.nbits, &pairs)
 }
 
 /// Index build, top-k query, and pool generation at 1k / 10k / 100k tasks.
@@ -74,95 +74,6 @@ fn bench_index_scaling(c: &mut Criterion) {
                 black_box(pool.len())
             })
         });
-    }
-    group.finish();
-}
-
-/// Deterministic keyword vectors straight from a SplitMix64 stream — the
-/// AMT datagen pipeline interns group/vocab structures and is far too slow
-/// to materialize the 1M–10M-task corpora this group runs at.
-fn synthetic_vecs(
-    n: usize,
-    nbits: usize,
-    kw_lo: usize,
-    kw_hi: usize,
-    seed: u64,
-) -> Vec<KeywordVec> {
-    let mut s = seed;
-    let mut next = move || {
-        s = s.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
-    (0..n)
-        .map(|_| {
-            let mut v = KeywordVec::new(nbits);
-            let n_kw = kw_lo + (next() % (kw_hi - kw_lo + 1) as u64) as usize;
-            for _ in 0..n_kw {
-                v.set((next() % nbits as u64) as usize);
-            }
-            v
-        })
-        .collect()
-}
-
-/// Sharded vs unsharded bulk build and top-k at catalog scale. 100k runs by
-/// default; set `HTA_BENCH_LARGE=1` for the 1M / 10M points (tens of
-/// seconds per build on one core). The sharded build's win is structural
-/// even on a single core: each shard owns its keyword range end-to-end, so
-/// there is no sequential posting-merge / backref-rebuild pass.
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("index/sharded");
-    group.sample_size(10);
-    let mut sizes = vec![100_000usize];
-    if std::env::var("HTA_BENCH_LARGE").is_ok() {
-        sizes.extend([1_000_000, 10_000_000]);
-    } else {
-        println!("index/sharded: set HTA_BENCH_LARGE=1 for the 1M/10M points");
-    }
-    let nbits = 512usize;
-    for &n in &sizes {
-        let vecs = synthetic_vecs(n, nbits, 4, 8, 0xC3 ^ n as u64);
-        let pairs: Vec<(u32, &KeywordVec)> = vecs
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as u32, v))
-            .collect();
-        group.bench_with_input(BenchmarkId::new("build-flat", n), &pairs, |b, p| {
-            b.iter(|| black_box(InvertedIndex::build(nbits, p, hta_par::default_threads()).len()))
-        });
-        group.bench_with_input(BenchmarkId::new("build-sharded", n), &pairs, |b, p| {
-            b.iter(|| black_box(ShardedIndex::build(nbits, p, 0).len()))
-        });
-
-        let flat = InvertedIndex::build(nbits, &pairs, hta_par::default_threads());
-        let sharded = ShardedIndex::build(nbits, &pairs, 0);
-        let workers = synthetic_vecs(16, nbits, 6, 10, 0xD4);
-        group.bench_with_input(BenchmarkId::new("topk16-flat", n), &workers, |b, ws| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for w in ws {
-                    hits += flat.top_k(w, 16).len();
-                }
-                black_box(hits)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("topk16-sharded", n), &workers, |b, ws| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for w in ws {
-                    hits += sharded.top_k(w, 16).len();
-                }
-                black_box(hits)
-            })
-        });
-        // The whole point of sharding is that it is invisible to callers:
-        // assert byte-identical retrieval on the bench corpus too.
-        for w in &workers {
-            assert_eq!(flat.top_k(w, 16), sharded.top_k(w, 16));
-        }
     }
     group.finish();
 }
@@ -246,10 +157,5 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     );
 }
 
-criterion_group!(
-    benches,
-    bench_index_scaling,
-    bench_sharded,
-    bench_dense_vs_sparse
-);
+criterion_group!(benches, bench_index_scaling, bench_dense_vs_sparse);
 criterion_main!(benches);

@@ -205,4 +205,20 @@ mod tests {
         assert_eq!(back.restored(), 0);
         back.finish();
     }
+
+    #[test]
+    fn older_format_version_starts_fresh() {
+        let name = unique_name("v1");
+        let mut ckpt = SweepCheckpoint::open(&name, "fp");
+        ckpt.record(Row::new("10", vec![("x", 0.5)]));
+        let path = ckpt.path.clone();
+        // Rewrite the container's version field (bytes 8..12, after the
+        // magic) to 1: the loader refuses it and the sweep starts over.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let back = SweepCheckpoint::open(&name, "fp");
+        assert_eq!(back.restored(), 0);
+        back.finish();
+    }
 }

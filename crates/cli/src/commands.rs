@@ -7,7 +7,7 @@ use hta_core::EdgeSource;
 use hta_datagen::amt::{generate_exact, AmtConfig};
 use hta_datagen::export;
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
-use hta_index::{CandidateMode, CandidatePool, PoolParams, ShardedIndex};
+use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,7 +78,6 @@ pub fn solve(args: &Args) -> CmdResult {
         "seed",
         "out",
         "candidates",
-        "shards",
         "solver-threads",
         "deadlines",
         "priority-mix",
@@ -89,7 +88,6 @@ pub fn solve(args: &Args) -> CmdResult {
     let xmax: usize = args.get_or("xmax", 10)?;
     let algorithm = args.get("algorithm").unwrap_or("gre");
     let seed: u64 = args.get_or("seed", 0)?;
-    let shards: usize = args.get_or("shards", 0)?;
     let solver_threads: usize = args.get_or("solver-threads", 0)?;
     let candidates: CandidateMode = match args.get("candidates") {
         Some(s) => s
@@ -177,7 +175,7 @@ pub fn solve(args: &Args) -> CmdResult {
         CandidateMode::TopK(k) => {
             let pairs: Vec<(u32, &KeywordVec)> =
                 tasks.iter().map(|t| (t.id.0, &t.keywords)).collect();
-            let index = ShardedIndex::build(space.len(), &pairs, shards);
+            let index = InvertedIndex::build(space.len(), &pairs);
             let pool = CandidatePool::generate(&index, &workers, xmax, &PoolParams::with_k(k));
             println!(
                 "candidates {candidates}: pool {} of {} tasks ({} from top-k retrieval)",
@@ -330,12 +328,11 @@ fn repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) -> String {
         }
     };
     let mut line = format!(
-        "# {label}: seed={:#x} catalog={} sessions={} cohort={} index-shards={} solver-threads={} candidates={} warm-start={}",
+        "# {label}: seed={:#x} catalog={} sessions={} cohort={} solver-threads={} candidates={} warm-start={}",
         cfg.seed,
         cfg.catalog.n_tasks,
         cfg.sessions_per_strategy,
         cfg.cohort_size,
-        fmt_auto(cfg.platform.index_shards, hta_index::default_shards()),
         fmt_auto(
             cfg.platform.solver_threads,
             hta_par::solver_threads(0)
@@ -445,7 +442,6 @@ pub fn simulate(args: &Args) -> CmdResult {
         "catalog",
         "seed",
         "candidates",
-        "shards",
         "solver-threads",
         "checkpoint-every",
         "checkpoint-dir",
@@ -461,7 +457,6 @@ pub fn simulate(args: &Args) -> CmdResult {
     let sessions: usize = args.get_or("sessions", 8)?;
     let catalog: usize = args.get_or("catalog", 2000)?;
     let seed: u64 = args.get_or("seed", 0x5E59)?;
-    let shards: usize = args.get_or("shards", 0)?;
     let solver_threads: usize = args.get_or("solver-threads", 0)?;
     let candidates: CandidateMode = match args.get("candidates") {
         Some(s) => s
@@ -516,7 +511,6 @@ pub fn simulate(args: &Args) -> CmdResult {
         ..Default::default()
     };
     cfg.platform.candidates = candidates;
-    cfg.platform.index_shards = shards;
     cfg.platform.solver_threads = solver_threads;
     cfg.platform.edge_cache_cap = edge_cache_cap;
     // Any lifecycle knob switches the marketplace layer on; `--reputation`
@@ -892,8 +886,6 @@ mod tests {
             "4",
             "--candidates",
             "topk:6",
-            "--shards",
-            "3",
             "--out",
             a,
         ]))
@@ -1093,6 +1085,14 @@ mod tests {
             "on",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn simulate_rejects_the_removed_shards_flag() {
+        // The keyword index has one layout; a shard count is an unknown
+        // flag, refused before any work starts.
+        let err = simulate(&args(&["simulate", "--shards", "2"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --shards"), "{err}");
     }
 
     #[test]

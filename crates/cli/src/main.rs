@@ -32,8 +32,6 @@ COMMANDS:
              --algorithm app|app-hungarian|gre|greedy|random (gre)
              --candidates full|topk:K (full)  — topk solves over an
                inverted-index candidate pool instead of every task
-             --shards N (0 = auto)  — keyword-range shards of the
-               retrieval index used by topk
              --solver-threads N (0 = auto: HTA_SOLVER_THREADS, then
                hardware)  — pipeline threads; output is byte-identical
                at any value
@@ -43,7 +41,7 @@ COMMANDS:
              --tasks FILE      --workers FILE    --xmax X (10)
   simulate   Run the online crowdsourcing simulation (Figure 5 style)
              --sessions N (8)  --catalog M (2000)  --seed S (0x5E59)
-             --candidates full|topk:K (full)  --shards N (0 = auto)
+             --candidates full|topk:K (full)
              --solver-threads N (0 = auto)
              --warm-start on|off (off)  — repair the previous cohort's
                matching instead of rebuilding it; metrics are

@@ -132,46 +132,6 @@ impl KeywordVec {
         })
     }
 
-    /// Iterator over the set keywords in `start..end`, ascending. Blocks
-    /// entirely outside the range are skipped, so scanning a narrow range of
-    /// a wide vector costs `O(range/64 + ones in range)` — the primitive a
-    /// keyword-range shard uses to pick out its slice of a task's vector.
-    pub fn iter_ones_in(&self, start: usize, end: usize) -> impl Iterator<Item = usize> + '_ {
-        let end = end.min(self.nbits);
-        let start = start.min(end);
-        let first_block = start / 64;
-        let last_block = end.div_ceil(64).min(self.blocks.len());
-        self.blocks[first_block..last_block]
-            .iter()
-            .enumerate()
-            .flat_map(move |(off, &block)| {
-                let bi = first_block + off;
-                let mut b = block;
-                // Mask out bits below `start` / at or above `end` in the
-                // boundary blocks.
-                if bi * 64 < start {
-                    b &= !0u64 << (start - bi * 64);
-                }
-                if (bi + 1) * 64 > end {
-                    let keep = end - bi * 64;
-                    b &= if keep == 64 {
-                        !0u64
-                    } else {
-                        (1u64 << keep) - 1
-                    };
-                }
-                std::iter::from_fn(move || {
-                    if b == 0 {
-                        None
-                    } else {
-                        let tz = b.trailing_zeros() as usize;
-                        b &= b - 1;
-                        Some(bi * 64 + tz)
-                    }
-                })
-            })
-    }
-
     /// The raw 64-bit blocks (little-endian bit order within a block).
     #[inline]
     pub(crate) fn blocks(&self) -> &[u64] {
@@ -270,29 +230,6 @@ mod tests {
         let v = KeywordVec::from_indices(200, &idx);
         let ones: Vec<usize> = v.iter_ones().collect();
         assert_eq!(ones, idx);
-    }
-
-    #[test]
-    fn iter_ones_in_masks_boundary_blocks() {
-        let idx = [0usize, 5, 63, 64, 100, 127, 128, 199];
-        let v = KeywordVec::from_indices(200, &idx);
-        // Full range equals iter_ones.
-        assert_eq!(
-            v.iter_ones_in(0, 200).collect::<Vec<_>>(),
-            v.iter_ones().collect::<Vec<_>>()
-        );
-        // Word-aligned and unaligned sub-ranges.
-        assert_eq!(v.iter_ones_in(64, 128).collect::<Vec<_>>(), [64, 100, 127]);
-        assert_eq!(v.iter_ones_in(5, 64).collect::<Vec<_>>(), [5, 63]);
-        assert_eq!(
-            v.iter_ones_in(6, 63).collect::<Vec<_>>(),
-            Vec::<usize>::new()
-        );
-        assert_eq!(v.iter_ones_in(128, 200).collect::<Vec<_>>(), [128, 199]);
-        // Range clamped to nbits; empty and inverted ranges are empty.
-        assert_eq!(v.iter_ones_in(190, 10_000).collect::<Vec<_>>(), [199]);
-        assert_eq!(v.iter_ones_in(70, 70).count(), 0);
-        assert_eq!(v.iter_ones_in(120, 80).count(), 0);
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub const DEFAULT_EDGE_CACHE_TASKS: usize = 4096;
 
 /// Resolve the edge-cache catalog cap: an explicit request wins, otherwise
 /// the `HTA_EDGE_CACHE_CAP` environment variable, otherwise
-/// [`DEFAULT_EDGE_CACHE_TASKS`]. Mirrors `hta_par::solver_threads` /
-/// `hta_index::default_shards` so every sizing knob resolves the same way.
+/// [`DEFAULT_EDGE_CACHE_TASKS`]. Mirrors `hta_par::solver_threads` so
+/// every sizing knob resolves the same way.
 pub fn edge_cache_cap(requested: usize) -> usize {
     if requested > 0 {
         return requested;

@@ -19,7 +19,7 @@ use hta_core::{
 };
 use hta_datagen::crowdflower::{CrowdflowerCatalog, KINDS};
 use hta_datagen::quality::QualityModel;
-use hta_index::{CandidateMode, CandidatePool, PoolMaintainer, PoolParams, ShardedIndex};
+use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams};
 use hta_life::{LifeOutcome, LifecycleBook, PriorityMix, Reputation};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -54,9 +54,6 @@ pub struct PlatformConfig {
     pub choice_noise: f64,
     /// How many recent completions feed the marginal-diversity signal.
     pub diversity_memory: usize,
-    /// Keyword-shard count of the platform's index (`0` = auto:
-    /// `HTA_INDEX_SHARDS` or the thread default).
-    pub index_shards: usize,
     /// Threads for the assignment solver's parallel pipeline (`0` = auto:
     /// `HTA_SOLVER_THREADS` or the hardware default). Assignments are
     /// byte-identical at any value.
@@ -129,7 +126,6 @@ impl Default for PlatformConfig {
             candidates: CandidateMode::Full,
             choice_noise: 0.15,
             diversity_memory: 8,
-            index_shards: 0,
             solver_threads: 0,
             reuse_edges: true,
             adaptive_sharpening: 4.0,
@@ -273,7 +269,7 @@ pub struct Platform<'c> {
     /// Sharded keyword index mirroring `available` — every flip goes
     /// through [`Platform::open_task`]/[`Platform::take_task`], so the
     /// sparse candidate path never rebuilds it.
-    index: ShardedIndex,
+    index: InvertedIndex,
     solver: Box<dyn Solver>,
     /// Edge source and warm state of the assignment solves, built here from
     /// [`EdgeSource::choose`] over `(catalog, cfg)`. Derived state: never
@@ -326,7 +322,7 @@ impl<'c> Platform<'c> {
             .map(|(i, t)| (i as u32, &t.task.keywords))
             .collect();
         let nbits = catalog.space.len();
-        let index = ShardedIndex::build(nbits, &pairs, cfg.index_shards);
+        let index = InvertedIndex::build(nbits, &pairs);
         let (session, pool_maint) = open_set_session(catalog, &cfg);
         let solver = HtaGre::structured()
             .without_flip()
@@ -361,7 +357,7 @@ impl<'c> Platform<'c> {
         catalog: &'c CrowdflowerCatalog,
         cfg: PlatformConfig,
         available: Vec<bool>,
-        index: ShardedIndex,
+        index: InvertedIndex,
         life: Option<LifeState>,
     ) -> Result<Self, String> {
         if available.len() != catalog.tasks.len() {
@@ -503,7 +499,7 @@ impl<'c> Platform<'c> {
 
     /// The keyword index over the open tasks (the other half of the
     /// cross-cohort state).
-    pub fn index(&self) -> &ShardedIndex {
+    pub fn index(&self) -> &InvertedIndex {
         &self.index
     }
 

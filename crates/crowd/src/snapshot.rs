@@ -10,7 +10,7 @@
 //! * the records of every finished arm (plus each arm's final RNG state),
 //! * the current arm's finished sessions and cohort cursor,
 //! * the platform's cross-cohort state: the task-availability vector and
-//!   the sharded keyword index (posting-list order included — it encodes
+//!   the keyword index (posting-list order included — it encodes
 //!   swap-remove history and affects future retrievals),
 //! * the arm RNG's xoshiro256** stream position.
 //!
@@ -32,7 +32,7 @@ use std::io;
 use std::path::Path;
 
 use hta_core::state::{decode, encode, StateDecodeError, StateReader, StateSerialize};
-use hta_index::ShardedIndex;
+use hta_index::InvertedIndex;
 use hta_snapshot::{Snapshot, SnapshotBuilder, SnapshotError};
 
 use crate::behavior::BehaviorConfig;
@@ -117,7 +117,7 @@ pub struct RunProgress {
     /// The platform's task-availability vector (catalog order).
     pub available: Vec<bool>,
     /// The platform's keyword index, posting-list order preserved.
-    pub index: ShardedIndex,
+    pub index: InvertedIndex,
     /// The platform's lifecycle + reputation state (`Some` iff the config
     /// enables [`PlatformConfig::lifecycle`]).
     pub life: Option<LifeState>,
@@ -365,7 +365,6 @@ impl StateSerialize for PlatformConfig {
         self.candidates.write_state(out);
         self.choice_noise.write_state(out);
         self.diversity_memory.write_state(out);
-        self.index_shards.write_state(out);
         self.solver_threads.write_state(out);
         self.reuse_edges.write_state(out);
         self.adaptive_sharpening.write_state(out);
@@ -390,7 +389,6 @@ impl StateSerialize for PlatformConfig {
             candidates: hta_index::CandidateMode::read_state(r)?,
             choice_noise: f64::read_state(r)?,
             diversity_memory: usize::read_state(r)?,
-            index_shards: usize::read_state(r)?,
             solver_threads: usize::read_state(r)?,
             reuse_edges: bool::read_state(r)?,
             adaptive_sharpening: f64::read_state(r)?,
@@ -679,7 +677,7 @@ fn run_snapshot_from_container(snap: &Snapshot) -> Result<RunSnapshot, RunSnapsh
     let config: OnlineConfig = decode_section(snap, SECTION_CONFIG)?;
     let progress: ProgressSection = decode_section(snap, SECTION_PROGRESS)?;
     let available: Vec<bool> = decode_section(snap, SECTION_PLATFORM)?;
-    let index: ShardedIndex = decode_section(snap, SECTION_INDEX)?;
+    let index: InvertedIndex = decode_section(snap, SECTION_INDEX)?;
     let life: Option<LifeState> = decode_section(snap, SECTION_LIFE)?;
     let warm: Option<WarmEssence> = decode_section(snap, SECTION_WARM)?;
     let rng: RngSection = decode_section(snap, SECTION_RNG)?;
@@ -810,7 +808,7 @@ mod tests {
         let vecs: Vec<KeywordVec> = (0..8)
             .map(|i| KeywordVec::from_indices(nbits, &[i % nbits, (i * 5 + 1) % nbits]))
             .collect();
-        let mut index = ShardedIndex::new(nbits, 2);
+        let mut index = InvertedIndex::new(nbits);
         let mut available = vec![true; 8];
         for (i, v) in vecs.iter().enumerate() {
             index.insert(i as u32, v);

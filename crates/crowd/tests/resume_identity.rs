@@ -2,7 +2,7 @@
 //! "killed" (via the deterministic halt control), and resumed from its
 //! latest snapshot must be **byte-identical** to an uninterrupted run — in
 //! every session record, every derived metric, and the final RNG stream
-//! position of every arm — at several index-shard and solver-thread counts.
+//! position of every arm — at several solver-thread counts.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,7 +25,7 @@ fn scratch_dir() -> PathBuf {
 /// A deliberately small experiment (short sessions, small catalog) so the
 /// identity property can be checked at many configurations. 3 sessions per
 /// arm at cohort size 2 → 2 cohorts per arm, 8 cohort boundaries total.
-fn config(shards: usize, threads: usize, seed: u64) -> OnlineConfig {
+fn config(threads: usize, seed: u64) -> OnlineConfig {
     OnlineConfig {
         sessions_per_strategy: 3,
         cohort_size: 2,
@@ -39,7 +39,6 @@ fn config(shards: usize, threads: usize, seed: u64) -> OnlineConfig {
         },
         platform: PlatformConfig {
             session_minutes: 6.0,
-            index_shards: shards,
             solver_threads: threads,
             ..Default::default()
         },
@@ -145,8 +144,8 @@ fn run_interrupted(cfg: &OnlineConfig, halt_after: usize) -> OnlineResults {
     // Resume from the snapshot's own (round-tripped) config, as the CLI does.
     assert_eq!(loaded.config.seed, cfg.seed);
     assert_eq!(
-        loaded.config.platform.index_shards,
-        cfg.platform.index_shards
+        loaded.config.platform.solver_threads,
+        cfg.platform.solver_threads
     );
     let out = run_with(
         &loaded.config,
@@ -165,7 +164,7 @@ fn run_interrupted(cfg: &OnlineConfig, halt_after: usize) -> OnlineResults {
 /// priority spread, bounded retries, a strict verification bar (so requeues
 /// actually happen), and reputation-scaled weights.
 fn lifecycle_config(seed: u64) -> OnlineConfig {
-    let mut cfg = config(2, 2, seed);
+    let mut cfg = config(2, seed);
     cfg.platform.lifecycle = true;
     cfg.platform.deadline_minutes = 2.5;
     cfg.platform.priority_mix = hta_life::PriorityMix::parse("1,2,1,0.5").unwrap();
@@ -175,18 +174,15 @@ fn lifecycle_config(seed: u64) -> OnlineConfig {
     cfg
 }
 
-/// The fixed grid the PR's acceptance criteria name: 1/2/7 index shards ×
-/// 1/2/7 solver threads, interrupted mid-run.
+/// The fixed grid: 1/2/7 solver threads, interrupted mid-run.
 #[test]
-fn resume_identity_across_shard_and_thread_grid() {
-    for shards in [1usize, 2, 7] {
-        for threads in [1usize, 2, 7] {
-            let cfg = config(shards, threads, 0xA11CE);
-            let uninterrupted = run(&cfg);
-            let resumed = run_interrupted(&cfg, 3);
-            let ctx = format!("shards={shards} threads={threads}");
-            assert_results_identical(&uninterrupted, &resumed, &ctx);
-        }
+fn resume_identity_across_thread_grid() {
+    for threads in [1usize, 2, 7] {
+        let cfg = config(threads, 0xA11CE);
+        let uninterrupted = run(&cfg);
+        let resumed = run_interrupted(&cfg, 3);
+        let ctx = format!("threads={threads}");
+        assert_results_identical(&uninterrupted, &resumed, &ctx);
     }
 }
 
@@ -194,7 +190,7 @@ fn resume_identity_across_shard_and_thread_grid() {
 /// result (the checkpoint then holds a fully-finished final arm).
 #[test]
 fn resume_from_final_cohort_boundary() {
-    let cfg = config(2, 2, 77);
+    let cfg = config(2, 77);
     let uninterrupted = run(&cfg);
     let resumed = run_interrupted(&cfg, 8);
     assert_results_identical(&uninterrupted, &resumed, "final-boundary");
@@ -202,7 +198,7 @@ fn resume_from_final_cohort_boundary() {
 
 #[test]
 fn pruning_keeps_only_the_newest_checkpoints() {
-    let cfg = config(1, 1, 3);
+    let cfg = config(1, 3);
     let dir = scratch_dir();
     let control = RunControl {
         checkpoint: Some(CheckpointPolicy {
@@ -234,7 +230,7 @@ fn pruning_keeps_only_the_newest_checkpoints() {
 
 #[test]
 fn corrupted_checkpoints_are_rejected_not_half_restored() {
-    let cfg = config(1, 1, 9);
+    let cfg = config(1, 9);
     let dir = scratch_dir();
     let control = RunControl {
         checkpoint: Some(CheckpointPolicy {
@@ -269,21 +265,19 @@ fn corrupted_checkpoints_are_rejected_not_half_restored() {
 
 proptest! {
     /// The property behind it all: for random halt points, seeds, and
-    /// shard/thread pairs, (run N cohorts, checkpoint, kill, resume, run
-    /// the remaining M) ≡ (run N+M cohorts straight through), bit for bit.
+    /// thread counts, (run N cohorts, checkpoint, kill, resume, run the
+    /// remaining M) ≡ (run N+M cohorts straight through), bit for bit.
     #[test]
     fn interrupted_runs_are_byte_identical_to_uninterrupted(
-        shards_pick in 0usize..3,
         threads_pick in 0usize..3,
         halt_after in 1usize..8,
         seed in 0u64..1024,
     ) {
-        let shards = [1usize, 2, 7][shards_pick];
         let threads = [1usize, 2, 7][threads_pick];
-        let cfg = config(shards, threads, seed);
+        let cfg = config(threads, seed);
         let uninterrupted = run(&cfg);
         let resumed = run_interrupted(&cfg, halt_after);
-        let ctx = format!("shards={shards} threads={threads} halt={halt_after} seed={seed}");
+        let ctx = format!("threads={threads} halt={halt_after} seed={seed}");
         assert_results_identical(&uninterrupted, &resumed, &ctx);
     }
 
@@ -309,7 +303,7 @@ proptest! {
         threads_pick in 0usize..3,
         seed in 0u64..512,
     ) {
-        let mut cfg = config(2, [1usize, 2, 7][threads_pick], seed);
+        let mut cfg = config([1usize, 2, 7][threads_pick], seed);
         cfg.platform.warm_start = true;
         let uninterrupted = run(&cfg);
         let resumed = run_interrupted(&cfg, halt_after);
@@ -345,7 +339,7 @@ proptest! {
     /// mid-run state (exercised through the public byte API).
     #[test]
     fn snapshot_bytes_round_trip_mid_run(halt_after in 1usize..8, seed in 0u64..1024) {
-        let cfg = config(2, 1, seed);
+        let cfg = config(1, seed);
         let dir = scratch_dir();
         let control = RunControl {
             checkpoint: Some(CheckpointPolicy { every_cohorts: 1, dir: dir.clone(), keep: 0 }),

@@ -3,8 +3,7 @@
 //! pools and a pool-scoped sparse edge cache with warm matching repair —
 //! and must be **byte-identical** to both the cold sparse path and the
 //! dense warm path (when the catalog fits under the cap), across churn
-//! levels, solver-thread counts, index-shard counts, and a checkpoint →
-//! resume mid-sequence, down to the serialized progress bytes.
+//! levels, solver-thread counts, and a checkpoint → resume mid-sequence, down to the serialized progress bytes.
 //!
 //! Two layers:
 //!
@@ -15,7 +14,7 @@
 //! 2. **Simulation matrix** — the full online experiment in `TopK`
 //!    candidate mode with the dense cap forced below the catalog (sparse
 //!    pipeline engaged) vs. warm-start off (sparse-cold) vs. the default
-//!    cap (dense-warm), at shards {1, 2} × threads {1, 2, 7}, plus
+//!    cap (dense-warm), at threads {1, 2, 7}, plus
 //!    interrupted-and-resumed runs and checkpoint-progress byte equality.
 
 use std::path::PathBuf;
@@ -157,7 +156,7 @@ fn scratch_dir() -> PathBuf {
 
 /// A small TopK-mode experiment with the dense edge-cache cap forced to 1,
 /// far below the 250-task catalog: every solve runs on the sparse pipeline.
-fn sparse_config(shards: usize, threads: usize, seed: u64) -> OnlineConfig {
+fn sparse_config(threads: usize, seed: u64) -> OnlineConfig {
     OnlineConfig {
         sessions_per_strategy: 3,
         cohort_size: 2,
@@ -171,7 +170,6 @@ fn sparse_config(shards: usize, threads: usize, seed: u64) -> OnlineConfig {
         },
         platform: PlatformConfig {
             session_minutes: 6.0,
-            index_shards: shards,
             solver_threads: threads,
             candidates: CandidateMode::TopK(12),
             edge_cache_cap: 1,
@@ -264,30 +262,28 @@ fn run_interrupted(
     }
 }
 
-/// The full fixed grid: shards {1, 2} × threads {1, 2, 7}. Sparse-warm ≡
+/// The full fixed grid: threads {1, 2, 7}. Sparse-warm ≡
 /// sparse-cold ≡ dense-warm (the catalog fits the default cap), and the
 /// sparse run resumed from a mid-sequence checkpoint matches too.
 #[test]
 fn simulation_sparse_matrix_is_byte_identical() {
-    for shards in [1usize, 2] {
-        for threads in [1usize, 2, 7] {
-            let ctx = format!("shards={shards} threads={threads}");
-            let cfg = sparse_config(shards, threads, 0xD1CE);
-            let sparse = run(&cfg);
+    for threads in [1usize, 2, 7] {
+        let ctx = format!("threads={threads}");
+        let cfg = sparse_config(threads, 0xD1CE);
+        let sparse = run(&cfg);
 
-            let mut cold_cfg = cfg.clone();
-            cold_cfg.platform.warm_start = false;
-            let cold = run(&cold_cfg);
-            assert_results_identical(&sparse, &cold, &format!("{ctx} sparse vs cold"));
+        let mut cold_cfg = cfg.clone();
+        cold_cfg.platform.warm_start = false;
+        let cold = run(&cold_cfg);
+        assert_results_identical(&sparse, &cold, &format!("{ctx} sparse vs cold"));
 
-            let mut dense_cfg = cfg.clone();
-            dense_cfg.platform.edge_cache_cap = 0; // default cap ≥ 250 → dense
-            let dense = run(&dense_cfg);
-            assert_results_identical(&sparse, &dense, &format!("{ctx} sparse vs dense"));
+        let mut dense_cfg = cfg.clone();
+        dense_cfg.platform.edge_cache_cap = 0; // default cap ≥ 250 → dense
+        let dense = run(&dense_cfg);
+        assert_results_identical(&sparse, &dense, &format!("{ctx} sparse vs dense"));
 
-            let (resumed, _) = run_interrupted(&cfg, 3);
-            assert_results_identical(&sparse, &resumed, &format!("{ctx} sparse vs resumed"));
-        }
+        let (resumed, _) = run_interrupted(&cfg, 3);
+        assert_results_identical(&sparse, &resumed, &format!("{ctx} sparse vs resumed"));
     }
 }
 
@@ -297,7 +293,7 @@ fn simulation_sparse_matrix_is_byte_identical() {
 /// config to isolate the progress section from the differing knob).
 #[test]
 fn sparse_checkpoint_progress_is_byte_identical_to_cold() {
-    let cfg = sparse_config(2, 2, 0xBEEF);
+    let cfg = sparse_config(2, 0xBEEF);
     let mut cold_cfg = cfg.clone();
     cold_cfg.platform.warm_start = false;
 
@@ -311,22 +307,20 @@ fn sparse_checkpoint_progress_is_byte_identical_to_cold() {
 }
 
 proptest! {
-    /// Random seeds, halt points, shard/thread picks: a sparse-warm run,
+    /// Random seeds, halt points, thread picks: a sparse-warm run,
     /// the same run interrupted and resumed, and the sparse-cold twin are
     /// all byte-identical.
     #[test]
     fn sparse_warm_runs_are_byte_identical(
-        shards_pick in 0usize..2,
         threads_pick in 0usize..3,
         halt_after in 1usize..8,
         seed in 0u64..256,
     ) {
-        let shards = [1usize, 2][shards_pick];
         let threads = [1usize, 2, 7][threads_pick];
-        let cfg = sparse_config(shards, threads, seed);
+        let cfg = sparse_config(threads, seed);
         let sparse = run(&cfg);
         let (resumed, _) = run_interrupted(&cfg, halt_after);
-        let ctx = format!("shards={shards} threads={threads} halt={halt_after} seed={seed}");
+        let ctx = format!("threads={threads} halt={halt_after} seed={seed}");
         assert_results_identical(&sparse, &resumed, &ctx);
         let mut cold_cfg = cfg.clone();
         cold_cfg.platform.warm_start = false;

@@ -2,15 +2,14 @@
 
 use hta_core::{CandidateGenerator, Task, Worker};
 
+use crate::inverted::InvertedIndex;
 use crate::pool::{CandidatePool, PoolParams};
-use crate::sharded::ShardedIndex;
 
 /// Plugs the inverted-index retrieval pipeline into
 /// [`hta_core::IterationEngine`].
 ///
 /// Each iteration freezes its own `T^i`, so this generator bulk-builds a
-/// fresh [`ShardedIndex`] over the frozen tasks (one scoped thread per
-/// keyword-range shard, no merge phase) and pools per-worker top-k
+/// fresh [`InvertedIndex`] over the frozen tasks and pools per-worker top-k
 /// candidates from it. A long-lived service that keeps one catalog alive
 /// across requests should instead maintain a persistent index incrementally
 /// and call [`CandidatePool::generate`] directly — see `hta-server`'s
@@ -46,7 +45,7 @@ impl CandidateGenerator for SparseCandidateGenerator {
             .enumerate()
             .map(|(i, t)| (i as u32, &t.keywords))
             .collect();
-        let index = ShardedIndex::build(nbits, &pairs, self.params.shards);
+        let index = InvertedIndex::build(nbits, &pairs);
         let pool = CandidatePool::generate(&index, workers, xmax, &self.params);
         if pool.len() >= tasks.len() {
             return None;

@@ -1,38 +1,33 @@
 //! The inverted keyword index over open tasks.
+//!
+//! One flat structure serves every caller: posting lists keyed by keyword
+//! id, per-task back-references for `O(|kw(t)|)` removal, and a packed
+//! keyword mirror for the dense top-k query body.
 
+use std::collections::HashMap;
+
+use hta_core::kernels::{intersection_counts_many, PackedCatalog};
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::KeywordVec;
 
 /// Sentinel in `doc_len` marking a task that is not in the index.
-pub(crate) const ABSENT: u32 = u32::MAX;
+const ABSENT: u32 = u32::MAX;
 
-/// `None` when `tasks` carries no duplicate ids; otherwise the first
-/// occurrence of each id, in input order (the bulk-build equivalent of
-/// `insert` returning `false` on a repeat).
-pub(crate) fn dedup_first_occurrences<'a>(
-    tasks: &[(u32, &'a KeywordVec)],
-) -> Option<Vec<(u32, &'a KeywordVec)>> {
-    let mut seen = std::collections::HashSet::with_capacity(tasks.len());
-    if tasks.iter().all(|&(id, _)| seen.insert(id)) {
-        return None;
-    }
-    seen.clear();
-    Some(
-        tasks
-            .iter()
-            .copied()
-            .filter(|&(id, _)| seen.insert(id))
-            .collect(),
-    )
-}
+/// At or above this many candidate postings — when they also reach the
+/// task-id space — a query skips posting accumulation and exact-rescores
+/// every row of the packed keyword mirror with the batched popcount
+/// kernels: streaming `rows · stride` SIMD blocks beats that many hash-map
+/// updates, and the scores come from the same exact integer counts, so the
+/// output is identical either way.
+const DENSE_RESCORE_CUTOFF: usize = 1 << 13;
 
 /// One posting-list back-reference held per `(task, keyword)` membership:
 /// which list the task sits in and at which position. Positions make
 /// removal `O(|kw(t)|)` via swap-remove instead of a list scan.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PostingRef {
-    pub(crate) keyword: u32,
-    pub(crate) position: u32,
+struct PostingRef {
+    keyword: u32,
+    position: u32,
 }
 
 /// An inverted index mapping keyword ids to posting lists of **open** task
@@ -47,12 +42,18 @@ pub(crate) struct PostingRef {
 pub struct InvertedIndex {
     /// `postings[kw]` = open tasks whose vector sets `kw` (unordered).
     postings: Vec<Vec<u32>>,
-    /// Per-task back-references into the posting lists (empty if absent).
+    /// Per-task back-references into the posting lists, ascending keyword
+    /// order (empty if absent).
     entries: Vec<Vec<PostingRef>>,
     /// Per-task keyword count, `ABSENT` when the task is not indexed.
     doc_len: Vec<u32>,
     /// Number of open tasks currently indexed.
     docs: usize,
+    /// Packed keyword mirror, rows addressed by task id (absent rows are
+    /// zero, one row per `doc_len` slot). Derivable from the postings — it
+    /// is rebuilt on snapshot read and never serialized — and serves the
+    /// dense top-k body ([`DENSE_RESCORE_CUTOFF`]).
+    packed: PackedCatalog,
 }
 
 impl InvertedIndex {
@@ -63,78 +64,23 @@ impl InvertedIndex {
             entries: Vec::new(),
             doc_len: Vec::new(),
             docs: 0,
+            packed: PackedCatalog::new(nbits),
         }
     }
 
-    /// Bulk-build from `(task id, keyword vector)` pairs using `threads`
-    /// scoped threads: each thread inverts a chunk of the tasks into a
-    /// partial set of posting lists, which are concatenated chunk-by-chunk
-    /// (deterministically) at the end. Falls back to sequential inserts for
-    /// small inputs where thread spawn costs dominate.
-    ///
-    /// Duplicate task ids are skipped with the same no-op semantics as
-    /// [`InvertedIndex::insert`]: the first occurrence wins, later ones
-    /// change nothing. Use [`InvertedIndex::build_counting`] to observe how
-    /// many were dropped.
-    pub fn build(nbits: usize, tasks: &[(u32, &KeywordVec)], threads: usize) -> Self {
-        Self::build_counting(nbits, tasks, threads).0
-    }
-
-    /// [`InvertedIndex::build`], also returning the number of duplicate-id
-    /// pairs that were skipped.
-    pub fn build_counting(
-        nbits: usize,
-        tasks: &[(u32, &KeywordVec)],
-        threads: usize,
-    ) -> (Self, usize) {
-        // Keep only the first occurrence of each id; a duplicate fed to the
-        // parallel path below would double-count `docs` and give the task
-        // two sets of posting back-refs, corrupting later `remove`s.
-        let firsts = dedup_first_occurrences(tasks);
-        let skipped = tasks.len() - firsts.as_ref().map_or(tasks.len(), Vec::len);
-        let tasks: &[(u32, &KeywordVec)] = firsts.as_deref().unwrap_or(tasks);
-
-        let threads = threads.clamp(1, tasks.len().max(1));
-        if threads == 1 || tasks.len() < 1024 {
-            let mut index = Self::new(nbits);
-            for &(id, kw) in tasks {
-                index.insert(id, kw);
-            }
-            return (index, skipped);
-        }
-        // Phase 1 (parallel): per-chunk partial posting lists.
-        let partials: Vec<Vec<Vec<u32>>> = hta_par::map_chunks(tasks, threads, |chunk| {
-            let mut postings = vec![Vec::new(); nbits];
-            for &(id, kw) in chunk {
-                for bit in kw.iter_ones() {
-                    postings[bit].push(id);
-                }
-            }
-            postings
-        });
-        // Phase 2 (sequential): merge in chunk order and rebuild the
-        // back-references, giving the same structure regardless of thread
-        // interleaving.
+    /// Bulk-build from `(task id, keyword vector)` pairs: one sequential
+    /// [`InvertedIndex::insert`] pass in input order, so a duplicate task id
+    /// is skipped exactly as `insert` skips it (first occurrence wins).
+    pub fn build(nbits: usize, tasks: &[(u32, &KeywordVec)]) -> Self {
         let mut index = Self::new(nbits);
-        for (kw, list) in index.postings.iter_mut().enumerate() {
-            for partial in &partials {
-                list.extend_from_slice(&partial[kw]);
-            }
+        // Size the per-task tables once instead of growing them id by id.
+        if let Some(max_id) = tasks.iter().map(|&(id, _)| id).max() {
+            index.reserve_task(max_id);
         }
         for &(id, kw) in tasks {
-            index.reserve_task(id);
-            index.doc_len[id as usize] = kw.count_ones() as u32;
-            index.docs += 1;
+            index.insert(id, kw);
         }
-        for (kw, list) in index.postings.iter().enumerate() {
-            for (position, &id) in list.iter().enumerate() {
-                index.entries[id as usize].push(PostingRef {
-                    keyword: kw as u32,
-                    position: position as u32,
-                });
-            }
-        }
-        (index, skipped)
+        index
     }
 
     /// Width of the keyword universe.
@@ -144,10 +90,11 @@ impl InvertedIndex {
 
     /// Grow the keyword universe to `nbits` (interning adds keywords over
     /// time; task keyword *ids* are stable, so widening is just new empty
-    /// posting lists).
+    /// posting lists and zero columns in the packed mirror).
     pub fn widen(&mut self, nbits: usize) {
         if nbits > self.postings.len() {
             self.postings.resize(nbits, Vec::new());
+            self.packed.widen(nbits);
         }
     }
 
@@ -211,6 +158,7 @@ impl InvertedIndex {
         if self.entries.len() < needed {
             self.entries.resize_with(needed, Vec::new);
             self.doc_len.resize(needed, ABSENT);
+            self.packed.ensure_rows(needed);
         }
     }
 
@@ -241,6 +189,7 @@ impl InvertedIndex {
             count += 1;
         }
         self.doc_len[task as usize] = count;
+        self.packed.set_row(task as usize, keywords);
         self.docs += 1;
         true
     }
@@ -269,6 +218,7 @@ impl InvertedIndex {
             }
         }
         self.doc_len[task as usize] = ABSENT;
+        self.packed.clear_row(task as usize);
         self.docs -= 1;
         true
     }
@@ -277,17 +227,12 @@ impl InvertedIndex {
     /// Jaccard similarity (`rel = |t ∩ w| / |t ∪ w|`, matching
     /// [`hta_core::Jaccard`] relevance), ties broken by ascending task id.
     ///
-    /// Term-at-a-time evaluation: walk the worker's posting lists
-    /// accumulating exact overlap counts. Lists are visited in ascending
-    /// document-frequency order, and before each list the retrieval checks
-    /// the **upper bound** on any task not yet accumulated — a task first
-    /// seen with `r` worker terms left satisfies
-    /// `sim ≤ r / max(|kw(w)|, min|kw(t)|) ≤ r / |kw(w)|` — against the
-    /// current `k`-th best **lower bound** (`overlap / (|t| + |w| −
-    /// overlap)`, since overlap only grows). Once the bound cannot beat the
-    /// threshold, the remaining (larger) lists stop admitting *new*
-    /// accumulators; existing ones keep accumulating, so returned scores
-    /// are exact.
+    /// Two query bodies, chosen from the input, give the same output: when
+    /// the worker's posting lists hold at least [`DENSE_RESCORE_CUTOFF`]
+    /// candidates and at least one per task-id slot, every packed row is
+    /// rescored with the batched popcount kernel; otherwise every posting
+    /// of the worker's terms adds one to its task's overlap count in a map.
+    /// Neither prunes, so every score is exact.
     pub fn top_k(&self, worker: &KeywordVec, k: usize) -> Vec<(u32, f64)> {
         if k == 0 {
             return Vec::new();
@@ -296,54 +241,51 @@ impl InvertedIndex {
         if wlen == 0 {
             return Vec::new();
         }
-        let mut terms: Vec<usize> = worker
+        let lists: Vec<&[u32]> = worker
             .iter_ones()
-            .filter(|&b| b < self.postings.len() && !self.postings[b].is_empty())
+            .filter_map(|b| self.postings.get(b))
+            .filter(|list| !list.is_empty())
+            .map(Vec::as_slice)
             .collect();
-        terms.sort_unstable_by_key(|&b| self.postings[b].len());
-
-        // Accumulators: task -> overlap so far. A dense map would waste
-        // |catalog| clears per query; a hash map keeps the query output-
-        // sensitive. Determinism comes from the final full sort.
-        let mut acc: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        let mut remaining = terms.len();
-        let mut admit_new = true;
-        for &term in &terms {
-            if admit_new && acc.len() >= k {
-                // k-th best lower bound among current accumulators.
-                let mut lower: Vec<f64> = acc
-                    .iter()
-                    .map(|(&t, &o)| {
-                        let tl = self.doc_len[t as usize] as f64;
-                        o as f64 / (tl + wlen as f64 - o as f64)
-                    })
-                    .collect();
-                lower.sort_unstable_by(|a, b| b.total_cmp(a));
-                let threshold = lower[k - 1];
-                // Unseen tasks can reach at most `remaining` overlap. The
-                // comparison must be strict: at equality an unseen task can
-                // still *tie* the k-th score, and the ascending-id tie-break
-                // means a smaller-id newcomer wins — dropping it here would
-                // diverge from brute force.
-                if (remaining as f64) / (wlen as f64) < threshold {
-                    admit_new = false;
-                }
-            }
-            for &task in &self.postings[term] {
-                match acc.entry(task) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => *e.get_mut() += 1,
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        if admit_new {
-                            e.insert(1);
-                        }
-                    }
-                }
-            }
-            remaining -= 1;
+        let candidates: usize = lists.iter().map(|list| list.len()).sum();
+        if candidates >= DENSE_RESCORE_CUTOFF && candidates >= self.packed.len() {
+            return self.top_k_dense(worker, k, wlen);
         }
 
-        let mut scored: Vec<(u32, f64)> = acc
+        let mut acc: HashMap<u32, u32> = HashMap::new();
+        for list in lists {
+            for &task in list {
+                *acc.entry(task).or_insert(0) += 1;
+            }
+        }
+        self.rank(acc.into_iter(), wlen, k)
+    }
+
+    /// The dense body of [`InvertedIndex::top_k`]: one batched
+    /// [`intersection_counts_many`] sweep over every packed row. Tasks with
+    /// zero overlap (including removed tasks, whose rows are zero) never
+    /// score — exactly the tasks posting accumulation never touches.
+    fn top_k_dense(&self, worker: &KeywordVec, k: usize, wlen: usize) -> Vec<(u32, f64)> {
+        let mut overlaps = vec![0u32; self.packed.len()];
+        intersection_counts_many(worker, &self.packed, 0, &mut overlaps);
+        let touched = overlaps
             .into_iter()
+            .enumerate()
+            .filter(|&(_, overlap)| overlap > 0)
+            .map(|(task, overlap)| (task as u32, overlap));
+        self.rank(touched, wlen, k)
+    }
+
+    /// Exact Jaccard `overlap / (|t| + |w| − overlap)` per `(task,
+    /// overlap)`, sorted by (score desc, id asc) and cut to `k` — the
+    /// shared tail of both query bodies, so they agree bit for bit.
+    fn rank(
+        &self,
+        overlaps: impl Iterator<Item = (u32, u32)>,
+        wlen: usize,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
+        let mut scored: Vec<(u32, f64)> = overlaps
             .map(|(task, overlap)| {
                 let union = self.doc_len[task as usize] as f64 + wlen as f64 - overlap as f64;
                 (task, overlap as f64 / union)
@@ -357,9 +299,10 @@ impl InvertedIndex {
 
 impl StateSerialize for InvertedIndex {
     /// Layout: `nbits`, `docs`, `doc_len`, posting lists **verbatim** (list
-    /// order encodes swap-remove history). Back-references are derivable
-    /// and rebuilt on read, in ascending keyword order per task — the same
-    /// invariant live insert/remove maintain.
+    /// order encodes swap-remove history). Back-references and the packed
+    /// mirror are derivable and rebuilt on read, back-references in
+    /// ascending keyword order per task — the same invariant live
+    /// insert/remove maintain.
     fn write_state(&self, out: &mut Vec<u8>) {
         self.postings.len().write_state(out);
         self.docs.write_state(out);
@@ -384,6 +327,8 @@ impl StateSerialize for InvertedIndex {
         }
         let mut entries: Vec<Vec<PostingRef>> = vec![Vec::new(); doc_len.len()];
         let mut counts = vec![0u32; doc_len.len()];
+        let mut packed = PackedCatalog::new(nbits);
+        packed.ensure_rows(doc_len.len());
         for (keyword, list) in postings.iter().enumerate() {
             for (position, &task) in list.iter().enumerate() {
                 let len = doc_len
@@ -393,6 +338,7 @@ impl StateSerialize for InvertedIndex {
                     return Err(invalid(format!("posting for absent task {task}")));
                 }
                 counts[task as usize] += 1;
+                packed.set_bit(task as usize, keyword);
                 entries[task as usize].push(PostingRef {
                     keyword: keyword as u32,
                     position: position as u32,
@@ -411,6 +357,7 @@ impl StateSerialize for InvertedIndex {
             entries,
             doc_len,
             docs,
+            packed,
         })
     }
 }
@@ -512,10 +459,10 @@ mod tests {
         // Worker = {0, 1}. Task 5 = {0} scores 1/(1+2-1) = 1/2 and is seen
         // first (kw 0 has the smallest document frequency). Task 2 = {1}
         // also scores exactly 1/2 but only appears in the *last* (largest
-        // DF) posting list. The unseen-task upper bound before that list is
-        // remaining/|w| = 1/2, equal to the k-th lower bound — with a
-        // non-strict comparison task 2 is never admitted and the documented
-        // ascending-id tie-break (2 before 5) breaks vs brute force.
+        // DF) posting list. Any query body that stopped admitting new tasks
+        // once the unseen bound (remaining/|w| = 1/2) merely tied the k-th
+        // score would drop task 2 and break the documented ascending-id
+        // tie-break (2 before 5) against brute force.
         let nbits = 8;
         let mut idx = InvertedIndex::new(nbits);
         idx.insert(5, &kw(nbits, &[0]));
@@ -544,13 +491,13 @@ mod tests {
             .map(|(i, v)| (i as u32, v))
             .collect();
         // Duplicate ids (with *different* vectors) must be skipped exactly
-        // like `insert` skips them: first occurrence wins. Before the dedup
-        // fix these double-counted `docs` and left task 17 with two sets of
-        // posting back-refs, so the `remove` below patched wrong positions.
+        // like `insert` skips them: first occurrence wins. A duplicate that
+        // slipped through would double-count `docs` and leave task 17 with
+        // two sets of posting back-refs, so the `remove` below would patch
+        // wrong positions.
         pairs.push((17, &vecs[4]));
         pairs.push((902, &vecs[1]));
-        let (bulk, skipped) = InvertedIndex::build_counting(nbits, &pairs, 4);
-        assert_eq!(skipped, 2);
+        let bulk = InvertedIndex::build(nbits, &pairs);
         let mut incr = InvertedIndex::new(nbits);
         for &(id, v) in &pairs {
             incr.insert(id, v);
@@ -585,5 +532,115 @@ mod tests {
         assert_eq!(idx.df(0), 1);
         idx.insert(1, &kw(6, &[5]));
         assert_eq!(idx.postings(5), &[1]);
+        // Past 256 bits the packed mirror's row stride grows; the rows it
+        // repacks must still answer the dense body like the postings do.
+        idx.widen(300);
+        idx.insert(2, &kw(300, &[0, 299]));
+        assert_eq!(idx.keywords_of(2).collect::<Vec<_>>(), vec![0, 299]);
+        let worker = kw(300, &[0, 5, 299]);
+        assert_eq!(idx.top_k_dense(&worker, 4, 3), idx.top_k(&worker, 4));
+    }
+
+    #[test]
+    fn bulk_build_skips_duplicates_like_insert() {
+        let nbits = 16;
+        let vecs: Vec<KeywordVec> = (0..1500)
+            .map(|i| kw(nbits, &[i % nbits, (i * 5 + 2) % nbits]))
+            .collect();
+        let mut pairs: Vec<(u32, &KeywordVec)> = vecs
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (i as u32, v))
+            .collect();
+        pairs.push((3, &vecs[8]));
+        pairs.push((1400, &vecs[0]));
+        let mut idx = InvertedIndex::build(nbits, &pairs);
+        assert_eq!(idx.len(), 1500);
+        // First occurrence won: task 3 still has its own keywords.
+        assert_eq!(
+            idx.keywords_of(3).collect::<Vec<_>>(),
+            vecs[3].iter_ones().map(|b| b as u32).collect::<Vec<_>>()
+        );
+        // And removal leaves no stale postings.
+        assert!(idx.remove(3));
+        for b in 0..nbits as u32 {
+            assert!(!idx.postings(b).contains(&3));
+        }
+    }
+
+    #[test]
+    fn incremental_maintenance_round_trips() {
+        // Insert, remove (one twice), and re-insert; the result must hold
+        // exactly what a fresh build of the survivors holds, and answer the
+        // same queries.
+        let nbits = 12;
+        let vec_of = |t: u32| kw(nbits, &[t as usize % nbits, (t as usize * 5 + 1) % nbits]);
+        let vecs: Vec<KeywordVec> = (0..30).map(vec_of).collect();
+        let mut idx = InvertedIndex::new(nbits);
+        for (t, v) in vecs.iter().enumerate() {
+            assert!(idx.insert(t as u32, v));
+        }
+        for t in [4u32, 9, 0, 29, 17] {
+            assert!(idx.remove(t), "remove {t}");
+        }
+        assert!(!idx.remove(4), "double remove is a no-op");
+        for t in [4u32, 9] {
+            assert!(idx.insert(t, &vecs[t as usize]));
+        }
+        let survivors: Vec<(u32, &KeywordVec)> = (0..30u32)
+            .filter(|t| ![0, 17, 29].contains(t))
+            .map(|t| (t, &vecs[t as usize]))
+            .collect();
+        let fresh = InvertedIndex::build(nbits, &survivors);
+        assert!(idx.open_tasks().eq(fresh.open_tasks()));
+        for b in 0..nbits as u32 {
+            let mut got = idx.postings(b).to_vec();
+            got.sort_unstable();
+            let mut want = fresh.postings(b).to_vec();
+            want.sort_unstable();
+            assert_eq!(got, want, "keyword {b}");
+        }
+        let worker = kw(nbits, &[1, 6, 11]);
+        assert_eq!(idx.top_k(&worker, 10), fresh.top_k(&worker, 10));
+    }
+
+    #[test]
+    fn dense_rescore_equals_posting_accumulation() {
+        let nbits = 48;
+        let mut idx = InvertedIndex::new(nbits);
+        for i in 0..300u32 {
+            let i_us = i as usize;
+            idx.insert(
+                i,
+                &kw(
+                    nbits,
+                    &[
+                        i_us % nbits,
+                        (i_us * 7 + 1) % nbits,
+                        (i_us * 13 + 5) % nbits,
+                    ],
+                ),
+            );
+        }
+        // Punch holes so zeroed rows are exercised.
+        for i in (0..300u32).step_by(7) {
+            idx.remove(i);
+        }
+        for k in [1usize, 5, 40, 1000] {
+            for worker in [
+                kw(nbits, &[0, 1, 2, 3]),
+                kw(nbits, &(0..nbits).collect::<Vec<_>>()),
+                kw(nbits, &[47]),
+            ] {
+                let wlen = worker.count_ones();
+                let dense = idx.top_k_dense(&worker, k, wlen);
+                let sparse = idx.top_k(&worker, k);
+                assert_eq!(dense.len(), sparse.len(), "k={k}");
+                for (d, s) in dense.iter().zip(&sparse) {
+                    assert_eq!(d.0, s.0, "k={k}");
+                    assert_eq!(d.1.to_bits(), s.1.to_bits(), "k={k}");
+                }
+            }
+        }
     }
 }

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use hta_core::KeywordVec;
 
 use crate::pool::CandidatePool;
-use crate::traits::TaskIndex;
+use crate::InvertedIndex;
 
 /// How the pool membership changed between two consecutive
 /// [`PoolMaintainer::pool_for`] calls (strictly increasing catalog ids) —
@@ -177,9 +177,9 @@ impl PoolMaintainer {
     /// queries first. Returns the pool — byte-identical to
     /// [`CandidatePool::generate`] on the same inputs — plus the membership
     /// delta against the previous `pool_for` result.
-    pub fn pool_for<I: TaskIndex>(
+    pub fn pool_for(
         &mut self,
-        index: &I,
+        index: &InvertedIndex,
         cohort: &[(u64, &KeywordVec)],
         xmax: usize,
     ) -> (CandidatePool, PoolDelta) {
@@ -251,7 +251,6 @@ fn diff_members(old: &[u32], new: &[u32]) -> PoolDelta {
 mod tests {
     use super::*;
     use crate::pool::PoolParams;
-    use crate::InvertedIndex;
     use hta_core::{Worker, WorkerId};
 
     /// Deterministic splitmix64 for churn sequences.

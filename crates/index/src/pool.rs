@@ -17,7 +17,7 @@ use std::str::FromStr;
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::{HtaError, Instance, Task, TaskId, Worker, WorkerId};
 
-use crate::traits::TaskIndex;
+use crate::InvertedIndex;
 
 /// How the assignment path selects the tasks handed to the solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,32 +112,12 @@ impl StateSerialize for CandidateMode {
 pub struct PoolParams {
     /// Per-worker retrieval depth `k`.
     pub per_worker_k: usize,
-    /// Scoped-thread budget for bulk index builds and the pool instance's
-    /// diversity cache.
-    pub threads: usize,
-    /// Keyword-range shards for indices built by generators that own their
-    /// index ([`crate::SparseCandidateGenerator`]); `0` = auto
-    /// ([`crate::default_shards`]).
-    pub shards: usize,
-}
-
-impl Default for PoolParams {
-    fn default() -> Self {
-        Self {
-            per_worker_k: CandidateMode::DEFAULT_K,
-            threads: hta_par::default_threads(),
-            shards: 0,
-        }
-    }
 }
 
 impl PoolParams {
-    /// Params with retrieval depth `k` and the default thread budget.
+    /// Params with retrieval depth `k`.
     pub fn with_k(k: usize) -> Self {
-        Self {
-            per_worker_k: k,
-            ..Self::default()
-        }
+        Self { per_worker_k: k }
     }
 }
 
@@ -172,8 +152,8 @@ impl CandidatePool {
     /// (Coverage scores only decrease as the pool grows, so stale heap
     /// entries are upper bounds — the CELF-style lazy re-evaluation is
     /// exact.)
-    pub fn generate<I: TaskIndex>(
-        index: &I,
+    pub fn generate(
+        index: &InvertedIndex,
         workers: &[Worker],
         xmax: usize,
         params: &PoolParams,
@@ -195,8 +175,8 @@ impl CandidatePool {
     /// scores depend only on pool keyword counts), so feeding lists that
     /// are element-wise equal to the local `index.top_k` output yields a
     /// byte-identical pool.
-    pub fn from_worker_topk<I: TaskIndex>(
-        index: &I,
+    pub fn from_worker_topk(
+        index: &InvertedIndex,
         topk_lists: &[Vec<(u32, f64)>],
         xmax: usize,
     ) -> Self {
@@ -220,8 +200,8 @@ impl CandidatePool {
     }
 
     /// Top the pool up to `floor` members with coverage-seeded open tasks.
-    fn seed_diverse<I: TaskIndex>(
-        index: &I,
+    fn seed_diverse(
+        index: &InvertedIndex,
         members: &mut Vec<u32>,
         in_pool: &mut HashMap<u32, ()>,
         floor: usize,
@@ -229,15 +209,15 @@ impl CandidatePool {
         // Keyword representation inside the current pool.
         let mut counts: HashMap<u32, u32> = HashMap::new();
         for &m in members.iter() {
-            index.keywords_each(m, |kw| {
+            for kw in index.keywords_of(m) {
                 *counts.entry(kw).or_insert(0) += 1;
-            });
+            }
         }
         let score = |counts: &HashMap<u32, u32>, task: u32| -> f64 {
             let mut s = 0.0;
-            index.keywords_each(task, |kw| {
+            for kw in index.keywords_of(task) {
                 s += 1.0 / (1.0 + counts.get(&kw).copied().unwrap_or(0) as f64);
-            });
+            }
             s
         };
         // Max-heap keyed by (score bits, smallest id wins ties). Coverage
@@ -258,9 +238,9 @@ impl CandidatePool {
             if fresh >= next_best || fresh == stale {
                 members.push(task);
                 in_pool.insert(task, ());
-                index.keywords_each(task, |kw| {
+                for kw in index.keywords_of(task) {
                     *counts.entry(kw).or_insert(0) += 1;
-                });
+                }
             } else {
                 heap.push((fresh, std::cmp::Reverse(task)));
             }
@@ -336,7 +316,6 @@ impl CandidatePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::InvertedIndex;
     use hta_core::{GroupId, KeywordVec, Weights};
 
     fn kw(nbits: usize, bits: &[usize]) -> KeywordVec {

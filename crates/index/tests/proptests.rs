@@ -1,15 +1,18 @@
 //! Property tests for the index subsystem.
 //!
-//! Two invariants hold the whole sparse pipeline together:
+//! Three invariants hold the whole sparse pipeline together:
 //! 1. incremental maintenance is *exact* — an index that saw any interleaving
 //!    of inserts and removes equals a fresh bulk build over the surviving
 //!    tasks;
-//! 2. sparse candidate generation does not destroy solution quality — the
+//! 2. retrieval is *exact* — under the same histories the index holds what a
+//!    brute-force oracle holds and `top_k` returns what scoring every open
+//!    task does;
+//! 3. sparse candidate generation does not destroy solution quality — the
 //!    HTA-GRE objective over the candidate pool stays within a constant
 //!    factor of the dense solve on small instances.
 
 use hta_core::prelude::*;
-use hta_index::{sharded::contents_equal, InvertedIndex, ShardedIndex, SparseCandidateGenerator};
+use hta_index::{InvertedIndex, SparseCandidateGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,7 +80,7 @@ proptest! {
             .filter(|&(i, _)| live[i])
             .map(|(i, v)| (i as u32, v))
             .collect();
-        let fresh = InvertedIndex::build(nbits, &survivors, 2);
+        let fresh = InvertedIndex::build(nbits, &survivors);
 
         prop_assert_eq!(index.len(), fresh.len());
         prop_assert_eq!(snapshot(&index), snapshot(&fresh));
@@ -91,16 +94,37 @@ proptest! {
     }
 }
 
+/// The oracle's `top_k`: score every open task exactly from its keyword
+/// vector, keep the ones sharing a keyword, sort by (score desc, id asc)
+/// and cut to `k`. No posting list and no pruning is involved.
+fn brute_force_top_k(
+    open: &[Option<KeywordVec>],
+    worker: &KeywordVec,
+    k: usize,
+) -> Vec<(u32, f64)> {
+    let mut scored: Vec<(u32, f64)> = open
+        .iter()
+        .enumerate()
+        .filter_map(|(id, v)| {
+            let v = v.as_ref()?;
+            let overlap = v.intersection_count(worker);
+            (overlap > 0).then(|| (id as u32, overlap as f64 / v.union_count(worker) as f64))
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
 proptest! {
-    /// Sharding is an implementation detail: under any interleaving of
-    /// inserts and removes, a [`ShardedIndex`] with 1, 2, or 7 shards holds
-    /// the same open-task set and returns **byte-identical** `top_k`
-    /// results (same ids, same `f64` score bits, same tie order) as the
-    /// unsharded [`InvertedIndex`]. Exact float equality is deliberate —
-    /// both sides must evaluate the same Jaccard expression on the same
-    /// integer overlaps.
+    /// Under any interleaving of inserts and removes, the index agrees with
+    /// a brute-force oracle (a table of the open tasks' keyword vectors):
+    /// same open-task set, same posting sets and per-task keywords, and
+    /// **byte-identical** `top_k` results (same ids, same `f64` score bits,
+    /// same tie order). Exact float equality is deliberate — both sides
+    /// evaluate `overlap / union` on the same integers.
     #[test]
-    fn sharded_equals_unsharded_under_interleaving(
+    fn index_equals_brute_force_oracle_under_interleaving(
         kw_picks in proptest::collection::vec(
             proptest::collection::vec(0usize..24, 0..5),
             1..40,
@@ -125,49 +149,53 @@ proptest! {
             })
             .collect();
 
-        let mut flat = InvertedIndex::new(nbits);
-        let mut sharded: Vec<ShardedIndex> = [1, 2, 7]
-            .iter()
-            .map(|&s| ShardedIndex::new(nbits, s))
-            .collect();
-        let mut live: Vec<bool> = vec![true; vecs.len()];
+        let mut index = InvertedIndex::new(nbits);
+        let mut oracle: Vec<Option<KeywordVec>> = vec![None; vecs.len()];
         for (i, v) in vecs.iter().enumerate() {
-            flat.insert(i as u32, v);
-            for s in &mut sharded {
-                prop_assert!(s.insert(i as u32, v));
-            }
+            prop_assert!(index.insert(i as u32, v));
+            oracle[i] = Some(v.clone());
         }
-        for (i, _) in vecs.iter().enumerate() {
+        for i in 0..vecs.len() {
             if removals[i] == 1 {
-                flat.remove(i as u32);
-                for s in &mut sharded {
-                    prop_assert!(s.remove(i as u32));
-                }
-                live[i] = false;
+                prop_assert!(index.remove(i as u32));
+                prop_assert!(!index.remove(i as u32), "double remove is a no-op");
+                oracle[i] = None;
             }
         }
         for (i, v) in vecs.iter().enumerate() {
-            if !live[i] && reinserts[i] == 1 {
-                flat.insert(i as u32, v);
-                for s in &mut sharded {
-                    prop_assert!(s.insert(i as u32, v));
-                }
+            if oracle[i].is_none() && reinserts[i] == 1 {
+                prop_assert!(index.insert(i as u32, v));
+                oracle[i] = Some(v.clone());
             }
         }
 
-        let flat_open: Vec<u32> = flat.open_tasks().collect();
-        for s in &sharded {
-            prop_assert!(contents_equal(s, &flat), "{} shards drifted", s.shard_count());
-            let open: Vec<u32> = s.open_tasks().collect();
-            prop_assert_eq!(&open, &flat_open);
-            for picks in &worker_picks {
-                let mut w = KeywordVec::new(nbits);
-                for &b in picks {
-                    w.set(b);
-                }
-                // Exact Vec<(u32, f64)> equality: ids, score bits, order.
-                prop_assert_eq!(s.top_k(&w, k), flat.top_k(&w, k));
+        let open: Vec<u32> = (0..vecs.len() as u32)
+            .filter(|&i| oracle[i as usize].is_some())
+            .collect();
+        prop_assert_eq!(index.open_tasks().collect::<Vec<_>>(), open.clone());
+        prop_assert_eq!(index.len(), open.len());
+        for b in 0..nbits {
+            let mut got = index.postings(b as u32).to_vec();
+            got.sort_unstable();
+            let want: Vec<u32> = open
+                .iter()
+                .copied()
+                .filter(|&t| oracle[t as usize].as_ref().is_some_and(|v| v.get(b)))
+                .collect();
+            prop_assert_eq!(got, want, "keyword {}", b);
+        }
+        for &t in &open {
+            let v = oracle[t as usize].as_ref().unwrap();
+            let want: Vec<u32> = v.iter_ones().map(|b| b as u32).collect();
+            prop_assert_eq!(index.keywords_of(t).collect::<Vec<_>>(), want);
+        }
+        for picks in &worker_picks {
+            let mut w = KeywordVec::new(nbits);
+            for &b in picks {
+                w.set(b);
             }
+            // Exact Vec<(u32, f64)> equality: ids, score bits, order.
+            prop_assert_eq!(index.top_k(&w, k), brute_force_top_k(&oracle, &w, k));
         }
     }
 }

@@ -363,23 +363,16 @@ fn snapshot(state: &PlatformState, req: &Request) -> Response {
 
 fn stats(state: &PlatformState, serving: Option<&ServingMetrics>) -> Response {
     let s = state.stats();
-    let shards = s
-        .shard_sizes
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
     // The platform-state fields come first and keep their exact shape —
     // snapshot tests compare these bodies across save/restore, and a
     // `/stats` served without serving counters must stay byte-stable.
     let mut body = format!(
-        "{{\"workers\":{},\"open_tasks\":{},\"assigned_tasks\":{},\"completed_tasks\":{},\"indexed_tasks\":{},\"shards\":[{}],\"simd\":\"{}\",\"edge_cache_cap\":{}",
+        "{{\"workers\":{},\"open_tasks\":{},\"assigned_tasks\":{},\"completed_tasks\":{},\"indexed_tasks\":{},\"simd\":\"{}\",\"edge_cache_cap\":{}",
         s.workers,
         s.open_tasks,
         s.assigned_tasks,
         s.completed_tasks,
         s.indexed_tasks,
-        shards,
         hta_core::kernels::mode_name(),
         s.edge_cache_cap
     );
@@ -439,7 +432,8 @@ mod tests {
 
         let r = handle(&s, &req("GET", "/stats", ""));
         assert!(r.body.contains("\"completed_tasks\":1"));
-        assert!(r.body.contains("\"shards\":["));
+        let indexed = format!("\"indexed_tasks\":{}", s.stats().open_tasks);
+        assert!(r.body.contains(&indexed), "{}", r.body);
 
         let r = handle(&s, &req("GET", "/tasks", &format!("id={first}")));
         assert_eq!(r.status, 200);

@@ -3,12 +3,12 @@
 //! A server snapshot captures the whole [`PlatformState`] — the keyword
 //! space (names included, so interned ids survive), the task catalog, every
 //! registered worker with their adaptive estimator and assignment ledger,
-//! the task-availability vector, the sharded keyword index (posting order
+//! the task-availability vector, the keyword index (posting order
 //! preserved — it encodes swap-remove history), the solver RNG's stream
 //! position, and the platform parameters. A restored server is
 //! *behaviorally identical* to the one that saved the snapshot: the next
 //! `/assign` on either produces the same tasks, and `/stats` reports the
-//! same counters down to the per-shard sizes.
+//! same counters.
 //!
 //! The bytes live in an [`hta_snapshot`] container (magic, version,
 //! checksummed sections, atomic writes); this module defines the section
@@ -229,7 +229,7 @@ impl PlatformState {
         let tasks: hta_core::TaskPool = section(snap, SECTION_TASKS)?;
         let workers: Vec<WorkerState> = section(snap, SECTION_WORKERS)?;
         let platform: PlatformSection = section(snap, SECTION_PLATFORM)?;
-        let index: hta_index::ShardedIndex = section(snap, SECTION_INDEX)?;
+        let index: hta_index::InvertedIndex = section(snap, SECTION_INDEX)?;
         let rng: rand::rngs::StdRng = section(snap, SECTION_RNG)?;
 
         let invalid = |msg: String| Err(ServerSnapshotError::Invalid(msg));
@@ -341,8 +341,7 @@ mod tests {
             vocab_size: 60,
             ..Default::default()
         });
-        let s =
-            PlatformState::with_options(w.space, w.tasks, 5, 42, CandidateMode::default(), 3, 1);
+        let s = PlatformState::with_options(w.space, w.tasks, 5, 42, CandidateMode::default(), 1);
         let w0 = s.register_worker(&["english", "survey"]).unwrap();
         let w1 = s.register_worker(&["audio", "fresh-keyword"]).unwrap();
         let a0 = s.assign(w0).unwrap();
@@ -372,7 +371,7 @@ mod tests {
         let bytes = s.snapshot_bytes();
         let r = PlatformState::from_snapshot_bytes(&bytes).expect("restore");
 
-        assert_eq!(r.stats(), s.stats(), "stats survive, shard sizes included");
+        assert_eq!(r.stats(), s.stats(), "stats survive");
         assert_eq!(r.candidate_mode(), s.candidate_mode());
         assert_eq!(r.task_keywords(0), s.task_keywords(0));
         for w in 0..2 {

@@ -1,5 +1,5 @@
 //! The platform's shared state: the task pool, registered workers with
-//! their adaptive weight estimators, the sharded keyword index over open
+//! their adaptive weight estimators, the keyword index over open
 //! tasks, and the assignment ledger — the data behind the Figure 4 workflow.
 
 use std::sync::Mutex;
@@ -10,7 +10,7 @@ use hta_core::{
     EdgeSource, Instance, Jaccard, KeywordSpace, KeywordVec, OpenSetSession, Task, TaskId,
     TaskPool, Weights, Worker, WorkerId,
 };
-use hta_index::{CandidateMode, CandidatePool, PoolMaintainer, PoolParams, ShardedIndex};
+use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams};
 use hta_life::Reputation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,12 +66,6 @@ pub struct Stats {
     /// Open tasks currently held by the keyword index (always equals
     /// `open_tasks` — surfaced so operators can spot index drift).
     pub indexed_tasks: usize,
-    /// Per-shard `(task, keyword)` membership counts of the keyword index.
-    /// Every open task contributes one count per keyword to the shard owning
-    /// that keyword, so the sum is the total posting count (≥
-    /// `indexed_tasks`); a persistently empty shard means the keyword
-    /// universe is skewed away from its range.
-    pub shard_sizes: Vec<usize>,
     /// The dense edge-cache catalog cap in effect (flag override, else
     /// `HTA_EDGE_CACHE_CAP`, else the built-in default). Catalogs past it
     /// serve through the sparse pool-scoped pipeline instead.
@@ -120,9 +114,9 @@ pub(crate) struct Inner {
     pub(crate) xmax: usize,
     /// Cap on the open-task window per solve (dense mode only).
     pub(crate) max_instance_tasks: usize,
-    /// Sharded keyword index over the open tasks, maintained incrementally
-    /// across register/assign — never rebuilt from the catalog per request.
-    pub(crate) index: ShardedIndex,
+    /// Keyword index over the open tasks, maintained incrementally across
+    /// register/assign — never rebuilt from the catalog per request.
+    pub(crate) index: InvertedIndex,
     pub(crate) mode: CandidateMode,
     /// Thread count handed to the solver pipeline (`0` = auto).
     pub(crate) solver_threads: usize,
@@ -214,20 +208,18 @@ impl PlatformState {
         seed: u64,
         mode: CandidateMode,
     ) -> Self {
-        Self::with_options(space, tasks, xmax, seed, mode, 0, 0)
+        Self::with_options(space, tasks, xmax, seed, mode, 0)
     }
 
-    /// Build with an explicit mode, keyword-shard count (`0` = auto:
-    /// `HTA_INDEX_SHARDS` or the thread default), and solver thread count
-    /// (`0` = auto: `HTA_SOLVER_THREADS` or the hardware default; solver
-    /// output is byte-identical at any value).
+    /// Build with an explicit mode and solver thread count (`0` = auto:
+    /// `HTA_SOLVER_THREADS` or the hardware default; solver output is
+    /// byte-identical at any value).
     pub fn with_options(
         space: KeywordSpace,
         tasks: TaskPool,
         xmax: usize,
         seed: u64,
         mode: CandidateMode,
-        shards: usize,
         solver_threads: usize,
     ) -> Self {
         let available = vec![true; tasks.len()];
@@ -236,7 +228,7 @@ impl PlatformState {
             .iter()
             .map(|t| (t.id.0, &t.keywords))
             .collect();
-        let index = ShardedIndex::build(space.len(), &pairs, shards);
+        let index = InvertedIndex::build(space.len(), &pairs);
         Self {
             inner: Mutex::new(Inner {
                 space,
@@ -641,7 +633,6 @@ impl PlatformState {
             assigned_tasks: assigned,
             completed_tasks: completed,
             indexed_tasks: inner.index.len(),
-            shard_sizes: inner.index.shard_sizes(),
             edge_cache_cap: inner.resolved_edge_cache_cap(),
         }
     }
@@ -877,30 +868,6 @@ mod tests {
         }
         let st = s.stats();
         assert_eq!(st.indexed_tasks, st.open_tasks);
-    }
-
-    #[test]
-    fn stats_report_per_shard_sizes() {
-        let w = generate(&AmtConfig {
-            n_groups: 20,
-            tasks_per_group: 10,
-            vocab_size: 80,
-            ..Default::default()
-        });
-        let s =
-            PlatformState::with_options(w.space, w.tasks, 5, 42, CandidateMode::default(), 3, 1);
-        let st = s.stats();
-        assert_eq!(st.shard_sizes.len(), 3);
-        // Every open task holds ≥1 keyword, so it lands in ≥1 shard.
-        assert!(st.shard_sizes.iter().sum::<usize>() >= st.indexed_tasks);
-
-        // Assignment removes tasks from every shard they occupy.
-        let wid = s.register_worker(&["english", "survey"]).unwrap();
-        s.assign(wid).unwrap();
-        let st2 = s.stats();
-        assert_eq!(st2.shard_sizes.len(), 3);
-        assert!(st2.shard_sizes.iter().sum::<usize>() < st.shard_sizes.iter().sum::<usize>());
-        assert_eq!(st2.indexed_tasks, st2.open_tasks);
     }
 
     #[test]

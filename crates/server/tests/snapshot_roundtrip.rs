@@ -1,4 +1,4 @@
-//! Integration tests for the `/stats` shard accounting and the
+//! Integration tests for the `/stats` index accounting and the
 //! snapshot/restore cycle, driven end-to-end through the HTTP service
 //! layer (`handle`), exactly as a TCP client would exercise it.
 
@@ -10,14 +10,14 @@ use hta_server::http::{parse_query, Request};
 use hta_server::service::handle;
 use hta_server::PlatformState;
 
-fn state(shards: usize) -> PlatformState {
+fn state() -> PlatformState {
     let w = generate(&AmtConfig {
         n_groups: 8,
         tasks_per_group: 5,
         vocab_size: 60,
         ..Default::default()
     });
-    PlatformState::with_options(w.space, w.tasks, 5, 42, CandidateMode::default(), shards, 1)
+    PlatformState::with_options(w.space, w.tasks, 5, 42, CandidateMode::default(), 1)
 }
 
 fn req(method: &str, path: &str, query: &str) -> Request {
@@ -28,7 +28,7 @@ fn req(method: &str, path: &str, query: &str) -> Request {
     }
 }
 
-/// Pull a JSON array field like `"shards":[3,1,4]` out of a `/stats` body.
+/// Pull a JSON array field like `"tasks":[3,1,4]` out of a response body.
 fn json_array(body: &str, key: &str) -> Vec<usize> {
     let tail = body
         .split(&format!("\"{key}\":["))
@@ -53,63 +53,48 @@ fn json_number(body: &str, key: &str) -> usize {
         .unwrap()
 }
 
-fn shard_sizes(s: &PlatformState) -> Vec<usize> {
-    json_array(&handle(s, &req("GET", "/stats", "")).body, "shards")
-}
-
-/// Keyword count of a catalog task, via the public `/tasks` endpoint. Each
-/// open task contributes exactly one posting per keyword, so removing it
-/// from the index must shrink the shard-size total by this amount.
-fn keyword_count(s: &PlatformState, task: usize) -> usize {
-    let body = handle(s, &req("GET", "/tasks", &format!("id={task}"))).body;
-    let inner = body.split('[').nth(1).unwrap().split(']').next().unwrap();
-    inner.split("\",\"").count()
+/// `/stats`' `(indexed_tasks, open_tasks)` pair.
+fn index_counts(s: &PlatformState) -> (usize, usize) {
+    let body = handle(s, &req("GET", "/stats", "")).body;
+    (
+        json_number(&body, "indexed_tasks"),
+        json_number(&body, "open_tasks"),
+    )
 }
 
 fn assigned_tasks(body: &str) -> Vec<usize> {
     json_array(body, "tasks")
 }
 
-/// Satellite: per-shard sizes stay an exact posting-count accounting of the
-/// open set as tasks are incrementally removed (assignment) while the
-/// keyword universe widens (registration of unseen keywords).
+/// Satellite: `indexed_tasks` stays an exact accounting of the open set
+/// as tasks are incrementally removed (assignment) while the keyword
+/// universe widens (registration of unseen keywords).
 #[test]
-fn stats_shard_sizes_track_the_task_lifecycle() {
-    let s = state(3);
-    let initial = shard_sizes(&s);
-    assert_eq!(initial.len(), 3, "one entry per shard");
-    let total: usize = initial.iter().sum();
-    let expected: usize = (0..40).map(|t| keyword_count(&s, t)).sum();
-    assert_eq!(total, expected, "initial postings = sum of task keywords");
+fn stats_indexed_tasks_track_the_task_lifecycle() {
+    let s = state();
+    assert_eq!(index_counts(&s), (40, 40), "every catalog task starts open");
 
     // Registering a worker with brand-new keywords widens the keyword
-    // universe; the new posting lists are empty, so sizes are unchanged.
+    // universe; the new posting lists are empty, so nothing is indexed.
     let r = handle(
         &s,
         &req("POST", "/register", "keywords=english;never-seen-before"),
     );
     assert_eq!(r.status, 200);
-    assert_eq!(shard_sizes(&s), initial, "widening adds no postings");
+    assert_eq!(index_counts(&s), (40, 40), "widening indexes no task");
 
     // Draining the pool: every assignment removes exactly the assigned
-    // tasks' postings, spread over the owning shards.
-    let mut running = total;
+    // tasks from the index.
+    let mut running = 40;
     loop {
-        let before = shard_sizes(&s);
         let body = handle(&s, &req("POST", "/assign", "worker=0")).body;
         let tasks = assigned_tasks(&body);
         if tasks.is_empty() {
             break;
         }
-        let removed: usize = tasks.iter().map(|&t| keyword_count(&s, t)).sum();
-        let after = shard_sizes(&s);
-        assert_eq!(after.len(), 3);
-        assert!(
-            before.iter().zip(&after).all(|(b, a)| a <= b),
-            "no shard may grow on removal: {before:?} -> {after:?}"
-        );
-        running -= removed;
-        assert_eq!(after.iter().sum::<usize>(), running, "posting accounting");
+        running -= tasks.len();
+        let after = index_counts(&s);
+        assert_eq!(after, (running, running), "index accounting");
 
         // Completions touch the ledger, not the index.
         let done = handle(
@@ -117,12 +102,9 @@ fn stats_shard_sizes_track_the_task_lifecycle() {
             &req("POST", "/complete", &format!("worker=0&task={}", tasks[0])),
         );
         assert_eq!(done.status, 200);
-        assert_eq!(shard_sizes(&s), after, "complete leaves shards alone");
+        assert_eq!(index_counts(&s), after, "complete leaves the index alone");
     }
-    let stats = handle(&s, &req("GET", "/stats", "")).body;
-    assert_eq!(json_number(&stats, "open_tasks"), 0);
-    assert_eq!(json_number(&stats, "indexed_tasks"), 0);
-    assert_eq!(shard_sizes(&s), vec![0, 0, 0], "drained pool, empty shards");
+    assert_eq!(index_counts(&s), (0, 0), "drained pool, empty index");
 }
 
 fn scratch_file(name: &str) -> PathBuf {
@@ -132,11 +114,11 @@ fn scratch_file(name: &str) -> PathBuf {
 }
 
 /// Satellite: `POST /snapshot` then restore reproduces `/stats` verbatim —
-/// per-shard sizes included — and the restored server's future request
+/// `indexed_tasks` included — and the restored server's future request
 /// stream is identical to the original's.
 #[test]
 fn restore_then_stats_round_trip() {
-    let s = state(4);
+    let s = state();
     for kws in ["english;survey", "audio;transcription"] {
         let r = handle(&s, &req("POST", "/register", &format!("keywords={kws}")));
         assert_eq!(r.status, 200);
@@ -166,7 +148,7 @@ fn restore_then_stats_round_trip() {
     let stats_orig = handle(&s, &req("GET", "/stats", "")).body;
     let stats_back = handle(&restored, &req("GET", "/stats", "")).body;
     assert_eq!(stats_back, stats_orig, "restored /stats diverged");
-    assert_eq!(shard_sizes(&restored).len(), 4);
+    assert_eq!(index_counts(&restored), index_counts(&s));
 
     // Both servers now serve the same futures: same assignment (estimator,
     // index order, and RNG stream all survived), same follow-up stats.
@@ -190,7 +172,7 @@ fn restore_then_stats_round_trip() {
 /// a checksum error; it never yields a half-restored server.
 #[test]
 fn corrupted_snapshot_file_is_rejected() {
-    let s = state(2);
+    let s = state();
     let _ = handle(&s, &req("POST", "/register", "keywords=english"));
     let _ = handle(&s, &req("POST", "/assign", "worker=0"));
     let path = scratch_file("corrupt.htasnap");

@@ -6,7 +6,7 @@
 //! atomicity; what the bytes mean is the business of `hta_core::state`'s
 //! [`StateSerialize`](https://docs.rs) encoding in the producing crate.
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 2)
 //!
 //! ```text
 //! offset  size  field
@@ -50,7 +50,13 @@ pub use delta::{DeltaError, SnapshotDelta, DELTA_KIND};
 pub const MAGIC: [u8; 8] = *b"HTASNAP\0";
 
 /// The container format version this crate reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+///
+/// The version also pins the payload layouts the producing crates write,
+/// which carry no self-description: version 2 keeps version 1's container
+/// bytes but drops the keyword index's shard header and the crowd platform
+/// config's shard count, so a version-1 file is refused outright rather
+/// than decoded into shifted fields.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Upper bound on the section count; a parsed count beyond this is corrupt.
 const MAX_SECTIONS: usize = 4096;
@@ -452,6 +458,18 @@ mod tests {
             Snapshot::from_bytes(&bad_version).unwrap_err(),
             SnapshotError::UnsupportedVersion {
                 found: 99,
+                supported: FORMAT_VERSION
+            }
+        );
+
+        // A version-1 file (sharded index layout) is refused before any
+        // section is handed out.
+        let mut v1 = bytes.clone();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&v1).unwrap_err(),
+            SnapshotError::UnsupportedVersion {
+                found: 1,
                 supported: FORMAT_VERSION
             }
         );
