@@ -532,13 +532,25 @@ mod tests {
         assert_eq!(idx.df(0), 1);
         idx.insert(1, &kw(6, &[5]));
         assert_eq!(idx.postings(5), &[1]);
+    }
+
+    #[test]
+    fn widen_past_a_lane_group_keeps_the_dense_body_exact() {
+        let mut idx = InvertedIndex::new(4);
+        idx.insert(0, &kw(4, &[0, 3]));
         // Past 256 bits the packed mirror's row stride grows; the rows it
         // repacks must still answer the dense body like the postings do.
         idx.widen(300);
-        idx.insert(2, &kw(300, &[0, 299]));
-        assert_eq!(idx.keywords_of(2).collect::<Vec<_>>(), vec![0, 299]);
-        let worker = kw(300, &[0, 5, 299]);
-        assert_eq!(idx.top_k_dense(&worker, 4, 3), idx.top_k(&worker, 4));
+        assert_eq!(idx.nbits(), 300);
+        assert_eq!(idx.df(0), 1);
+        idx.insert(1, &kw(300, &[0, 299]));
+        assert_eq!(idx.postings(299), &[1]);
+        assert_eq!(idx.keywords_of(1).collect::<Vec<_>>(), vec![0, 299]);
+        let worker = kw(300, &[0, 3, 299]);
+        assert_eq!(
+            idx.top_k_dense(&worker, 4, worker.count_ones()),
+            idx.top_k(&worker, 4)
+        );
     }
 
     #[test]
