@@ -1,14 +1,18 @@
 //! Index-subsystem micro-benchmarks: inverted-index construction, top-k
-//! retrieval, candidate-pool generation at catalog scale, and the headline
-//! dense-vs-sparse assignment comparison (build + solve wall-clock and
-//! objective ratio).
+//! retrieval, candidate-pool generation at catalog scale, the keyword-class
+//! workloads (each answer checked against a brute-force scan), and the
+//! headline dense-vs-sparse assignment comparison (build + solve wall-clock
+//! and objective ratio).
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hta_core::prelude::*;
 use hta_core::solver::LocalSearch;
 use hta_datagen::amt::{generate_exact, AmtConfig};
+use hta_datagen::crowdflower::{CrowdflowerCatalog, CrowdflowerConfig};
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
 use hta_index::{CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
@@ -21,10 +25,15 @@ struct Corpus {
 }
 
 fn corpus(n_tasks: usize, n_workers: usize, seed: u64) -> Corpus {
+    amt_corpus(n_tasks, (n_tasks / 10).max(1), n_workers, seed)
+}
+
+/// An AMT catalog of `n_tasks` in `groups` keyword groups.
+fn amt_corpus(n_tasks: usize, groups: usize, n_workers: usize, seed: u64) -> Corpus {
     let amt = generate_exact(
         &AmtConfig {
             seed,
-            ..AmtConfig::with_totals(n_tasks, (n_tasks / 10).max(1))
+            ..AmtConfig::with_totals(n_tasks, groups)
         },
         n_tasks,
     );
@@ -73,6 +82,154 @@ fn bench_index_scaling(c: &mut Criterion) {
                 let pool = CandidatePool::generate(&index, &c.workers, 10, &PoolParams::with_k(16));
                 black_box(pool.len())
             })
+        });
+    }
+    group.finish();
+}
+
+/// Exact top-k by scoring every task: Jaccard on the keyword vectors, ties
+/// by ascending id.
+fn brute_force_top_k(tasks: &[Task], worker: &KeywordVec, k: usize) -> Vec<(u32, f64)> {
+    let wlen = worker.count_ones() as f64;
+    let mut scored: Vec<(u32, f64)> = tasks
+        .iter()
+        .filter_map(|t| {
+            let overlap = t.keywords.intersection_count(worker) as f64;
+            (overlap > 0.0).then(|| {
+                let union = t.keywords.count_ones() as f64 + wlen - overlap;
+                (t.id.0, overlap / union)
+            })
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// The candidate pool by brute force: the union of every worker's scanned
+/// top-k, topped up to `|W| · xmax` by per-task lazy-greedy coverage
+/// seeding over a heap of every remaining task (score bits, lowest id
+/// first).
+fn brute_force_pool(tasks: &[Task], workers: &[Worker], xmax: usize, k: usize) -> Vec<u32> {
+    let mut members: Vec<u32> = Vec::new();
+    let mut in_pool: HashSet<u32> = HashSet::new();
+    for w in workers {
+        for (t, _) in brute_force_top_k(tasks, &w.keywords, k) {
+            if in_pool.insert(t) {
+                members.push(t);
+            }
+        }
+    }
+    let floor = tasks.len().min(workers.len() * xmax);
+    let nbits = tasks.first().map_or(0, |t| t.keywords.nbits());
+    let mut counts = vec![0u32; nbits];
+    for &m in &members {
+        tasks[m as usize]
+            .keywords
+            .iter_ones()
+            .for_each(|kw| counts[kw] += 1);
+    }
+    let score = |counts: &[u32], t: u32| -> u64 {
+        let mut s = 0.0;
+        for kw in tasks[t as usize].keywords.iter_ones() {
+            s += 1.0 / (1.0 + counts[kw] as f64);
+        }
+        f64::to_bits(s)
+    };
+    let mut heap: BinaryHeap<(u64, Reverse<u32>)> = tasks
+        .iter()
+        .map(|t| t.id.0)
+        .filter(|t| !in_pool.contains(t))
+        .map(|t| (score(&counts, t), Reverse(t)))
+        .collect();
+    while members.len() < floor {
+        let Some((stale, Reverse(t))) = heap.pop() else {
+            break;
+        };
+        let fresh = score(&counts, t);
+        if fresh >= heap.peek().map_or(0, |&(b, _)| b) || fresh == stale {
+            members.push(t);
+            tasks[t as usize]
+                .keywords
+                .iter_ones()
+                .for_each(|kw| counts[kw] += 1);
+        } else {
+            heap.push((fresh, Reverse(t)));
+        }
+    }
+    members.sort_unstable();
+    members
+}
+
+/// The 100k-task CrowdFlower catalog (22 keyword classes) as dense tasks.
+fn crowdflower_corpus(n_tasks: usize, n_workers: usize, seed: u64) -> Corpus {
+    let catalog = CrowdflowerCatalog::generate(&CrowdflowerConfig {
+        n_tasks,
+        seed,
+        ..CrowdflowerConfig::default()
+    });
+    let nbits = catalog.space.len();
+    let workers = synthetic_workers(
+        nbits,
+        &SyntheticWorkerConfig {
+            n_workers,
+            seed: seed ^ 0x77,
+            ..Default::default()
+        },
+    );
+    Corpus {
+        tasks: catalog.tasks.iter().map(|t| t.task.clone()).collect(),
+        workers: workers.workers().to_vec(),
+        nbits,
+    }
+}
+
+/// Top-k and pool generation on the grouped catalogs the keyword-class
+/// index is built for: the 100k-task CrowdFlower catalog and the 200k-task
+/// AMT catalog (10,000 groups of 20). Before timing, each answer is
+/// checked against a brute-force scan; any divergence panics, so the bench
+/// smoke run fails on a wrong answer.
+fn bench_index_classes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("index/classes");
+    group.sample_size(10);
+    let xmax = 10;
+    let catalogs = [
+        ("crowdflower-100k", crowdflower_corpus(100_000, 20, 0xC1)),
+        ("amt-200k", amt_corpus(200_000, 10_000, 20, 0xC3)),
+    ];
+    for (name, corpus) in &catalogs {
+        let index = build_index(corpus);
+        let top_k = || -> Vec<Vec<(u32, f64)>> {
+            corpus
+                .workers
+                .iter()
+                .map(|w| index.top_k(&w.keywords, 16))
+                .collect()
+        };
+        let pool = || {
+            CandidatePool::generate(&index, &corpus.workers, xmax, &PoolParams::with_k(16))
+                .members()
+                .to_vec()
+        };
+        for (w, got) in corpus.workers.iter().zip(top_k()) {
+            let want = brute_force_top_k(&corpus.tasks, &w.keywords, 16);
+            let same = got.len() == want.len()
+                && got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
+            assert!(same, "{name}: top_k diverges from a brute-force scan");
+        }
+        assert_eq!(
+            pool(),
+            brute_force_pool(&corpus.tasks, &corpus.workers, xmax, 16),
+            "{name}: candidate pool diverges from a brute-force scan"
+        );
+        group.bench_function(BenchmarkId::new("top-k16", name), |b| {
+            b.iter(|| black_box(top_k()))
+        });
+        group.bench_function(BenchmarkId::new("pool", name), |b| {
+            b.iter(|| black_box(pool()))
         });
     }
     group.finish();
@@ -157,5 +314,10 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_index_scaling, bench_dense_vs_sparse);
+criterion_group!(
+    benches,
+    bench_index_scaling,
+    bench_index_classes,
+    bench_dense_vs_sparse
+);
 criterion_main!(benches);

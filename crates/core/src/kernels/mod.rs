@@ -231,9 +231,8 @@ pub fn jaccard_one_vs_many_with_mode(
     jaccard_many(mode, &padded, qpop, cat, start, out);
 }
 
-/// Fill `out[i]` with `|query ∩ row(start + i)|` — the exact-rescore
-/// primitive for inverted/sharded top-k candidate pools. A narrower query
-/// is zero-extended (intersection counts are unaffected by zero bits).
+/// Fill `out[i]` with `|query ∩ row(start + i)|`. A narrower query is
+/// zero-extended (intersection counts are unaffected by zero bits).
 ///
 /// # Panics
 /// Panics if the query universe is wider than the catalog's, or

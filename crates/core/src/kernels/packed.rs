@@ -155,91 +155,6 @@ impl PackedCatalog {
         padded
     }
 
-    /// Grow (never shrink) to at least `n` rows, new rows all-zero. Zero
-    /// rows are popcount-neutral: they intersect nothing, so batch kernels
-    /// can run over a sparsely populated id space and unoccupied ids simply
-    /// score zero.
-    pub fn ensure_rows(&mut self, n: usize) {
-        if n > self.n {
-            self.data.resize(n * self.stride, 0);
-            self.pops.resize(n, 0);
-            self.n = n;
-        }
-    }
-
-    /// Overwrite row `i` with `v`'s blocks (padding stays zero), growing
-    /// the catalog if `i` is past the end — the primitive for catalogs
-    /// addressed by a caller-managed id instead of insertion order. A
-    /// narrower `v` is zero-extended to the catalog universe (its block
-    /// prefix is bit-identical, and the extension bits are zero).
-    ///
-    /// # Panics
-    /// Panics if `v`'s universe is wider than the catalog's.
-    pub fn set_row(&mut self, i: usize, v: &KeywordVec) {
-        assert!(
-            v.nbits() <= self.nbits,
-            "vector universe {} wider than catalog universe {}",
-            v.nbits(),
-            self.nbits
-        );
-        self.ensure_rows(i + 1);
-        let at = i * self.stride;
-        let q = v.blocks();
-        self.data[at..at + q.len()].copy_from_slice(q);
-        self.data[at + q.len()..at + self.stride].fill(0);
-        self.pops[i] = blocks_pop(q);
-    }
-
-    /// Set bit `bit` in row `i`, growing the catalog if needed — lets a
-    /// caller rebuild rows from an inverted structure (keyword → tasks)
-    /// without materializing intermediate [`KeywordVec`]s.
-    ///
-    /// # Panics
-    /// Panics if `bit >= nbits()`.
-    pub fn set_bit(&mut self, i: usize, bit: usize) {
-        assert!(bit < self.nbits, "bit {bit} out of universe {}", self.nbits);
-        self.ensure_rows(i + 1);
-        let slot = &mut self.data[i * self.stride + bit / 64];
-        let mask = 1u64 << (bit % 64);
-        if *slot & mask == 0 {
-            *slot |= mask;
-            self.pops[i] += 1;
-        }
-    }
-
-    /// Grow the keyword universe to `nbits` (never shrinks). Existing rows
-    /// keep their bit patterns — widening only adds zero keywords — so all
-    /// counts against zero-extended queries are unchanged. Repacks the data
-    /// when the padded stride grows.
-    pub fn widen(&mut self, nbits: usize) {
-        if nbits <= self.nbits {
-            return;
-        }
-        let blocks = nbits.div_ceil(64);
-        let stride = blocks.next_multiple_of(LANE_BLOCKS);
-        if stride != self.stride {
-            let mut data = vec![0u64; self.n * stride];
-            for i in 0..self.n {
-                data[i * stride..i * stride + self.stride]
-                    .copy_from_slice(&self.data[i * self.stride..(i + 1) * self.stride]);
-            }
-            self.data = data;
-            self.stride = stride;
-        }
-        self.nbits = nbits;
-        self.blocks = blocks;
-    }
-
-    /// Zero row `i` (a no-op past the end): the row keeps its slot but
-    /// contributes nothing to any intersection or union.
-    pub fn clear_row(&mut self, i: usize) {
-        if i < self.n {
-            let at = i * self.stride;
-            self.data[at..at + self.stride].fill(0);
-            self.pops[i] = 0;
-        }
-    }
-
     /// Reconstruct row `i` as a [`KeywordVec`] (exactly the vector that was
     /// packed).
     ///

@@ -25,6 +25,7 @@
 pub mod behavior;
 pub mod experiment;
 pub mod metrics;
+mod open_rank;
 pub mod platform;
 pub mod population;
 pub mod report;

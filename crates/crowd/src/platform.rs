@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 
 use crate::behavior::BehaviorConfig;
+use crate::open_rank::OpenRank;
 use crate::population::LiveWorker;
 use crate::strategies::Strategy;
 
@@ -266,9 +267,12 @@ pub struct Platform<'c> {
     catalog: &'c CrowdflowerCatalog,
     cfg: PlatformConfig,
     available: Vec<bool>,
-    /// Sharded keyword index mirroring `available` — every flip goes
-    /// through [`Platform::open_task`]/[`Platform::take_task`], so the
-    /// sparse candidate path never rebuilds it.
+    /// Order statistics over `available`, so random draws select open
+    /// tasks without scanning the catalog.
+    open_rank: OpenRank,
+    /// Keyword index mirroring `available` — every flip goes through
+    /// [`Platform::open_task`]/[`Platform::take_task`], so the sparse
+    /// candidate path never rebuilds it.
     index: InvertedIndex,
     solver: Box<dyn Solver>,
     /// Edge source and warm state of the assignment solves, built here from
@@ -334,6 +338,7 @@ impl<'c> Platform<'c> {
         Self {
             catalog,
             cfg,
+            open_rank: OpenRank::new(&vec![true; catalog.tasks.len()]),
             available: vec![true; catalog.tasks.len()],
             index,
             solver: Box::new(solver),
@@ -426,6 +431,7 @@ impl<'c> Platform<'c> {
         Ok(Self {
             catalog,
             cfg,
+            open_rank: OpenRank::new(&available),
             available,
             index,
             solver: Box::new(solver),
@@ -589,6 +595,7 @@ impl<'c> Platform<'c> {
     fn open_task(&mut self, idx: usize) {
         if !self.available[idx] {
             self.available[idx] = true;
+            self.open_rank.open(idx);
             let kw = &self.catalog.tasks[idx].task.keywords;
             self.index.insert(idx as u32, kw);
             if let Some(m) = self.pool_maint.as_mut() {
@@ -602,6 +609,7 @@ impl<'c> Platform<'c> {
     fn take_task(&mut self, idx: usize) {
         if self.available[idx] {
             self.available[idx] = false;
+            self.open_rank.close(idx);
             self.index.remove(idx as u32);
             if let Some(m) = self.pool_maint.as_mut() {
                 m.apply_remove(idx as u32);
@@ -624,7 +632,7 @@ impl<'c> Platform<'c> {
 
     /// Number of catalog tasks still open.
     pub fn open_tasks(&self) -> usize {
-        self.available.iter().filter(|&&a| a).count()
+        self.open_rank.len()
     }
 
     fn jaccard(a: &KeywordVec, b: &KeywordVec) -> f64 {
@@ -1063,12 +1071,7 @@ impl<'c> Platform<'c> {
 
     /// Draw `count` random available tasks into the display.
     fn assign_random(&mut self, a: &mut Active, count: usize, now_global: f64, rng: &mut StdRng) {
-        let mut open: Vec<usize> = (0..self.available.len())
-            .filter(|&i| self.available[i])
-            .collect();
-        for _ in 0..count.min(open.len()) {
-            let pick = rng.random_range(0..open.len());
-            let idx = open.swap_remove(pick);
+        for idx in self.open_rank.draw(count, rng) {
             self.take_task(idx);
             self.life_assign(idx, now_global);
             a.display.push(idx);

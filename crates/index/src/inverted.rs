@@ -1,59 +1,55 @@
-//! The inverted keyword index over open tasks.
+//! The inverted keyword index over open tasks, keyed by keyword class.
 //!
-//! One flat structure serves every caller: posting lists keyed by keyword
-//! id, per-task back-references for `O(|kw(t)|)` removal, and a packed
-//! keyword mirror for the dense top-k query body.
+//! Tasks come in groups that share one keyword set: every task of an AMT
+//! group carries the group's keywords, and the CrowdFlower catalog has 22
+//! task kinds. The index therefore stores each distinct keyword set once,
+//! as a **class**: its ascending keyword ids plus the ascending ids of its
+//! open tasks. Posting lists hold class ids, so a top-k query scores each
+//! class once instead of each task, and the candidate pool's diversity
+//! seeding memoises its coverage score per class.
 
 use std::collections::HashMap;
 
-use hta_core::kernels::{intersection_counts_many, PackedCatalog};
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::KeywordVec;
 
-/// Sentinel in `doc_len` marking a task that is not in the index.
+/// Sentinel in `class_of` marking a task that is not in the index.
 const ABSENT: u32 = u32::MAX;
 
-/// At or above this many candidate postings — when they also reach the
-/// task-id space — a query skips posting accumulation and exact-rescores
-/// every row of the packed keyword mirror with the batched popcount
-/// kernels: streaming `rows · stride` SIMD blocks beats that many hash-map
-/// updates, and the scores come from the same exact integer counts, so the
-/// output is identical either way.
-const DENSE_RESCORE_CUTOFF: usize = 1 << 13;
-
-/// One posting-list back-reference held per `(task, keyword)` membership:
-/// which list the task sits in and at which position. Positions make
-/// removal `O(|kw(t)|)` via swap-remove instead of a list scan.
-#[derive(Debug, Clone, Copy)]
-struct PostingRef {
-    keyword: u32,
-    position: u32,
+/// One distinct keyword set and its open tasks.
+#[derive(Debug, Clone, Default)]
+struct Class {
+    /// Ascending keyword ids: the class key.
+    keywords: Vec<u32>,
+    /// `positions[i]` = where this class sits in `postings[keywords[i]]`,
+    /// so closing a class is `O(|keywords|)` swap-removes, not list scans.
+    positions: Vec<u32>,
+    /// Open task ids, ascending. Empty only in a freed slot.
+    members: Vec<u32>,
 }
 
-/// An inverted index mapping keyword ids to posting lists of **open** task
-/// ids, with incremental `O(|kw(t)|)` insert/remove.
+/// An inverted index mapping keyword ids to the **open** tasks carrying
+/// them, grouped into keyword classes, with incremental insert/remove.
 ///
 /// Task ids are the caller's dense catalog indices (`u32`); keyword ids are
-/// positions in the shared [`hta_core::KeywordSpace`] universe. The index
-/// additionally remembers each open task's keyword ids (ascending), which
-/// is what the candidate pool's diversity seeding and exact Jaccard scoring
-/// consume.
+/// positions in the shared [`hta_core::KeywordSpace`] universe. A class
+/// lives exactly as long as it has an open task, so every posting points
+/// at a non-empty class.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    /// `postings[kw]` = open tasks whose vector sets `kw` (unordered).
+    /// `postings[kw]` = live classes whose keyword set holds `kw`
+    /// (unordered).
     postings: Vec<Vec<u32>>,
-    /// Per-task back-references into the posting lists, ascending keyword
-    /// order (empty if absent).
-    entries: Vec<Vec<PostingRef>>,
-    /// Per-task keyword count, `ABSENT` when the task is not indexed.
-    doc_len: Vec<u32>,
+    /// Class slots by class id; freed slots sit on `free`.
+    classes: Vec<Class>,
+    /// Live class id by keyword set.
+    by_keywords: HashMap<Vec<u32>, u32>,
+    /// Freed class ids, reused before `classes` grows.
+    free: Vec<u32>,
+    /// Per-task class id, `ABSENT` when the task is not indexed.
+    class_of: Vec<u32>,
     /// Number of open tasks currently indexed.
     docs: usize,
-    /// Packed keyword mirror, rows addressed by task id (absent rows are
-    /// zero, one row per `doc_len` slot). Derivable from the postings — it
-    /// is rebuilt on snapshot read and never serialized — and serves the
-    /// dense top-k body ([`DENSE_RESCORE_CUTOFF`]).
-    packed: PackedCatalog,
 }
 
 impl InvertedIndex {
@@ -61,10 +57,7 @@ impl InvertedIndex {
     pub fn new(nbits: usize) -> Self {
         Self {
             postings: vec![Vec::new(); nbits],
-            entries: Vec::new(),
-            doc_len: Vec::new(),
-            docs: 0,
-            packed: PackedCatalog::new(nbits),
+            ..Self::default()
         }
     }
 
@@ -73,12 +66,16 @@ impl InvertedIndex {
     /// is skipped exactly as `insert` skips it (first occurrence wins).
     pub fn build(nbits: usize, tasks: &[(u32, &KeywordVec)]) -> Self {
         let mut index = Self::new(nbits);
-        // Size the per-task tables once instead of growing them id by id.
+        // Size the per-task table once instead of growing it id by id.
         if let Some(max_id) = tasks.iter().map(|&(id, _)| id).max() {
             index.reserve_task(max_id);
         }
+        // Grouped catalogs list a group's tasks back to back, so the
+        // previous task's class is checked before the class map.
+        let mut key = Vec::new();
+        let mut last = None;
         for &(id, kw) in tasks {
-            index.insert(id, kw);
+            last = index.insert_keyed(id, kw, &mut key, last).or(last);
         }
         index
     }
@@ -89,12 +86,11 @@ impl InvertedIndex {
     }
 
     /// Grow the keyword universe to `nbits` (interning adds keywords over
-    /// time; task keyword *ids* are stable, so widening is just new empty
-    /// posting lists and zero columns in the packed mirror).
+    /// time; keyword *ids* are stable, so widening only appends empty
+    /// posting lists and never splits a class).
     pub fn widen(&mut self, nbits: usize) {
         if nbits > self.postings.len() {
             self.postings.resize(nbits, Vec::new());
-            self.packed.widen(nbits);
         }
     }
 
@@ -110,56 +106,116 @@ impl InvertedIndex {
 
     /// Whether `task` is currently indexed.
     pub fn contains(&self, task: u32) -> bool {
-        (task as usize) < self.doc_len.len() && self.doc_len[task as usize] != ABSENT
-    }
-
-    /// Document frequency of `keyword`: number of open tasks setting it.
-    pub fn df(&self, keyword: u32) -> usize {
-        self.postings
-            .get(keyword as usize)
-            .map_or(0, |list| list.len())
-    }
-
-    /// The posting list of `keyword` (unordered).
-    pub fn postings(&self, keyword: u32) -> &[u32] {
-        self.postings
-            .get(keyword as usize)
-            .map_or(&[], |list| list.as_slice())
+        self.class_of
+            .get(task as usize)
+            .is_some_and(|&c| c != ABSENT)
     }
 
     /// Keyword count of an indexed task (`None` if absent).
     pub fn keyword_count(&self, task: u32) -> Option<usize> {
-        match self.doc_len.get(task as usize) {
-            Some(&len) if len != ABSENT => Some(len as usize),
-            _ => None,
-        }
+        self.class(task).map(|c| c.keywords.len())
     }
 
-    /// Keyword ids of an indexed task, ascending (`&[]` if absent).
+    /// Keyword ids of an indexed task, ascending (empty if absent).
     pub fn keywords_of(&self, task: u32) -> impl Iterator<Item = u32> + '_ {
-        self.entries
-            .get(task as usize)
-            .map_or(&[][..], |refs| refs.as_slice())
+        self.class(task)
+            .map_or(&[][..], |c| c.keywords.as_slice())
             .iter()
-            .map(|r| r.keyword)
+            .copied()
     }
 
     /// Iterate over the open task ids (ascending).
     pub fn open_tasks(&self) -> impl Iterator<Item = u32> + '_ {
-        self.doc_len
+        self.class_of
             .iter()
             .enumerate()
-            .filter(|(_, &len)| len != ABSENT)
+            .filter(|(_, &c)| c != ABSENT)
             .map(|(id, _)| id as u32)
+    }
+
+    /// Number of class slots: every live class id is below it.
+    pub(crate) fn class_slots(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// The live classes as `(class id, ascending keyword ids, ascending
+    /// open task ids)`.
+    pub(crate) fn classes(&self) -> impl Iterator<Item = (u32, &[u32], &[u32])> + '_ {
+        self.classes
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.members.is_empty())
+            .map(|(id, c)| (id as u32, c.keywords.as_slice(), c.members.as_slice()))
+    }
+
+    /// Ascending keyword ids of class `class`.
+    pub(crate) fn class_keywords(&self, class: u32) -> &[u32] {
+        &self.classes[class as usize].keywords
+    }
+
+    /// Ascending open task ids of class `class`.
+    pub(crate) fn class_members(&self, class: u32) -> &[u32] {
+        &self.classes[class as usize].members
+    }
+
+    fn class(&self, task: u32) -> Option<&Class> {
+        match self.class_of.get(task as usize) {
+            Some(&c) if c != ABSENT => Some(&self.classes[c as usize]),
+            _ => None,
+        }
     }
 
     fn reserve_task(&mut self, task: u32) {
         let needed = task as usize + 1;
-        if self.entries.len() < needed {
-            self.entries.resize_with(needed, Vec::new);
-            self.doc_len.resize(needed, ABSENT);
-            self.packed.ensure_rows(needed);
+        if self.class_of.len() < needed {
+            self.class_of.resize(needed, ABSENT);
         }
+    }
+
+    /// The live class keyed by `keywords` (ascending), opened if missing.
+    fn class_for(&mut self, keywords: &[u32]) -> u32 {
+        if let Some(&id) = self.by_keywords.get(keywords) {
+            return id;
+        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.classes.push(Class::default());
+            (self.classes.len() - 1) as u32
+        });
+        let positions = keywords
+            .iter()
+            .map(|&kw| {
+                let list = &mut self.postings[kw as usize];
+                list.push(id);
+                (list.len() - 1) as u32
+            })
+            .collect();
+        self.by_keywords.insert(keywords.to_vec(), id);
+        self.classes[id as usize] = Class {
+            keywords: keywords.to_vec(),
+            positions,
+            members: Vec::new(),
+        };
+        id
+    }
+
+    /// Drop a class that lost its last open task from the posting lists.
+    fn close_class(&mut self, id: u32) {
+        let class = std::mem::take(&mut self.classes[id as usize]);
+        for (&kw, &pos) in class.keywords.iter().zip(&class.positions) {
+            let list = &mut self.postings[kw as usize];
+            list.swap_remove(pos as usize);
+            // The former tail class moved into `pos`: patch its position.
+            if let Some(&moved) = list.get(pos as usize) {
+                let moved = &mut self.classes[moved as usize];
+                let i = moved
+                    .keywords
+                    .binary_search(&kw)
+                    .expect("a posting's class holds the keyword");
+                moved.positions[i] = pos;
+            }
+        }
+        self.by_keywords.remove(&class.keywords);
+        self.free.push(id);
     }
 
     /// Index an open task. Returns `false` (and changes nothing) when the
@@ -168,6 +224,20 @@ impl InvertedIndex {
     /// # Panics
     /// Panics if the vector is wider than the index universe (widen first).
     pub fn insert(&mut self, task: u32, keywords: &KeywordVec) -> bool {
+        self.insert_keyed(task, keywords, &mut Vec::new(), None)
+            .is_some()
+    }
+
+    /// [`InvertedIndex::insert`] with a reusable key buffer and a class
+    /// worth checking before the class map; returns the task's class, or
+    /// `None` when the task was already present.
+    fn insert_keyed(
+        &mut self,
+        task: u32,
+        keywords: &KeywordVec,
+        key: &mut Vec<u32>,
+        guess: Option<u32>,
+    ) -> Option<u32> {
         assert!(
             keywords.nbits() <= self.postings.len(),
             "keyword vector wider ({}) than the index universe ({})",
@@ -175,50 +245,49 @@ impl InvertedIndex {
             self.postings.len()
         );
         if self.contains(task) {
-            return false;
+            return None;
         }
         self.reserve_task(task);
-        let mut count = 0u32;
-        for bit in keywords.iter_ones() {
-            let list = &mut self.postings[bit];
-            self.entries[task as usize].push(PostingRef {
-                keyword: bit as u32,
-                position: list.len() as u32,
-            });
-            list.push(task);
-            count += 1;
+        key.clear();
+        key.extend(keywords.iter_ones().map(|b| b as u32));
+        let class = match guess {
+            Some(c)
+                if self.classes[c as usize].keywords == *key
+                    && !self.classes[c as usize].members.is_empty() =>
+            {
+                c
+            }
+            _ => self.class_for(key),
+        };
+        let members = &mut self.classes[class as usize].members;
+        match members.last() {
+            Some(&last) if last > task => {
+                let pos = members.partition_point(|&t| t < task);
+                members.insert(pos, task);
+            }
+            _ => members.push(task),
         }
-        self.doc_len[task as usize] = count;
-        self.packed.set_row(task as usize, keywords);
+        self.class_of[task as usize] = class;
         self.docs += 1;
-        true
+        Some(class)
     }
 
-    /// Drop a task (assigned or completed) in `O(|kw(t)|)` amortized time.
-    /// Returns `false` when the task was not indexed.
+    /// Drop a task (assigned or completed). Returns `false` when the task
+    /// was not indexed.
     pub fn remove(&mut self, task: u32) -> bool {
         if !self.contains(task) {
             return false;
         }
-        let refs = std::mem::take(&mut self.entries[task as usize]);
-        for r in refs {
-            let list = &mut self.postings[r.keyword as usize];
-            let pos = r.position as usize;
-            debug_assert_eq!(list[pos], task);
-            list.swap_remove(pos);
-            // The former tail element moved into `pos`: patch its
-            // back-reference for this keyword.
-            if pos < list.len() {
-                let moved = list[pos];
-                let entry = self.entries[moved as usize]
-                    .iter_mut()
-                    .find(|e| e.keyword == r.keyword)
-                    .expect("posting member has a back-reference");
-                entry.position = r.position;
-            }
+        let class = self.class_of[task as usize];
+        let members = &mut self.classes[class as usize].members;
+        let pos = members
+            .binary_search(&task)
+            .expect("an indexed task is a member of its class");
+        members.remove(pos);
+        if members.is_empty() {
+            self.close_class(class);
         }
-        self.doc_len[task as usize] = ABSENT;
-        self.packed.clear_row(task as usize);
+        self.class_of[task as usize] = ABSENT;
         self.docs -= 1;
         true
     }
@@ -227,89 +296,86 @@ impl InvertedIndex {
     /// Jaccard similarity (`rel = |t ∩ w| / |t ∪ w|`, matching
     /// [`hta_core::Jaccard`] relevance), ties broken by ascending task id.
     ///
-    /// Two query bodies, chosen from the input, give the same output: when
-    /// the worker's posting lists hold at least [`DENSE_RESCORE_CUTOFF`]
-    /// candidates and at least one per task-id slot, every packed row is
-    /// rescored with the batched popcount kernel; otherwise every posting
-    /// of the worker's terms adds one to its task's overlap count in a map.
-    /// Neither prunes, so every score is exact.
+    /// Every posting of the worker's terms adds one to its class's overlap;
+    /// each touched class is scored once with the exact integer formula
+    /// `overlap / (|t| + |w| − overlap)`. Classes are then walked by score
+    /// descending, the member lists of equal-score classes merged in
+    /// ascending id order, until `k` ids are out. Nothing is pruned, so
+    /// every score is exact.
     pub fn top_k(&self, worker: &KeywordVec, k: usize) -> Vec<(u32, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
         let wlen = worker.count_ones();
-        if wlen == 0 {
+        if k == 0 || wlen == 0 {
             return Vec::new();
         }
-        let lists: Vec<&[u32]> = worker
-            .iter_ones()
-            .filter_map(|b| self.postings.get(b))
-            .filter(|list| !list.is_empty())
-            .map(Vec::as_slice)
-            .collect();
-        let candidates: usize = lists.iter().map(|list| list.len()).sum();
-        if candidates >= DENSE_RESCORE_CUTOFF && candidates >= self.packed.len() {
-            return self.top_k_dense(worker, k, wlen);
-        }
-
-        let mut acc: HashMap<u32, u32> = HashMap::new();
-        for list in lists {
-            for &task in list {
-                *acc.entry(task).or_insert(0) += 1;
+        let mut overlaps = vec![0u32; self.classes.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for bit in worker.iter_ones() {
+            for &class in self.postings.get(bit).map_or(&[][..], Vec::as_slice) {
+                let overlap = &mut overlaps[class as usize];
+                if *overlap == 0 {
+                    touched.push(class);
+                }
+                *overlap += 1;
             }
         }
-        self.rank(acc.into_iter(), wlen, k)
-    }
-
-    /// The dense body of [`InvertedIndex::top_k`]: one batched
-    /// [`intersection_counts_many`] sweep over every packed row. Tasks with
-    /// zero overlap (including removed tasks, whose rows are zero) never
-    /// score — exactly the tasks posting accumulation never touches.
-    fn top_k_dense(&self, worker: &KeywordVec, k: usize, wlen: usize) -> Vec<(u32, f64)> {
-        let mut overlaps = vec![0u32; self.packed.len()];
-        intersection_counts_many(worker, &self.packed, 0, &mut overlaps);
-        let touched = overlaps
+        let mut scored: Vec<(f64, u32)> = touched
             .into_iter()
-            .enumerate()
-            .filter(|&(_, overlap)| overlap > 0)
-            .map(|(task, overlap)| (task as u32, overlap));
-        self.rank(touched, wlen, k)
-    }
-
-    /// Exact Jaccard `overlap / (|t| + |w| − overlap)` per `(task,
-    /// overlap)`, sorted by (score desc, id asc) and cut to `k` — the
-    /// shared tail of both query bodies, so they agree bit for bit.
-    fn rank(
-        &self,
-        overlaps: impl Iterator<Item = (u32, u32)>,
-        wlen: usize,
-        k: usize,
-    ) -> Vec<(u32, f64)> {
-        let mut scored: Vec<(u32, f64)> = overlaps
-            .map(|(task, overlap)| {
-                let union = self.doc_len[task as usize] as f64 + wlen as f64 - overlap as f64;
-                (task, overlap as f64 / union)
+            .map(|class| {
+                let overlap = overlaps[class as usize] as f64;
+                let len = self.classes[class as usize].keywords.len() as f64;
+                (overlap / (len + wlen as f64 - overlap), class)
             })
             .collect();
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
+        scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+
+        let mut out: Vec<(u32, f64)> = Vec::with_capacity(k.min(self.docs));
+        for tier in scored.chunk_by(|a, b| a.0.to_bits() == b.0.to_bits()) {
+            let need = k - out.len();
+            let mut ids: Vec<u32> = tier
+                .iter()
+                .flat_map(|&(_, class)| self.classes[class as usize].members.iter().take(need))
+                .copied()
+                .collect();
+            ids.sort_unstable();
+            let score = tier[0].0;
+            out.extend(ids.into_iter().take(need).map(|task| (task, score)));
+            if out.len() == k {
+                break;
+            }
+        }
+        out
     }
 }
 
 impl StateSerialize for InvertedIndex {
-    /// Layout: `nbits`, `docs`, `doc_len`, posting lists **verbatim** (list
-    /// order encodes swap-remove history). Back-references and the packed
-    /// mirror are derivable and rebuilt on read, back-references in
-    /// ascending keyword order per task — the same invariant live
-    /// insert/remove maintain.
+    /// Layout: `nbits`, `docs`, `doc_len` (per task slot: keyword count, or
+    /// `u32::MAX` when absent), then per keyword the ascending ids of the
+    /// open tasks carrying it. Classes and their posting lists are
+    /// derivable and rebuilt on read, which accepts the per-keyword lists in
+    /// any order.
     fn write_state(&self, out: &mut Vec<u8>) {
+        let doc_len: Vec<u32> = self
+            .class_of
+            .iter()
+            .map(|&c| match c {
+                ABSENT => ABSENT,
+                c => self.classes[c as usize].keywords.len() as u32,
+            })
+            .collect();
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); self.postings.len()];
+        for task in self.open_tasks() {
+            for kw in self.keywords_of(task) {
+                postings[kw as usize].push(task);
+            }
+        }
         self.postings.len().write_state(out);
         self.docs.write_state(out);
-        self.doc_len.write_state(out);
-        self.postings.write_state(out);
+        doc_len.write_state(out);
+        postings.write_state(out);
     }
 
+    /// Every table this allocates is sized by what the payload holds
+    /// (`doc_len` slots, posting lists, postings), never by a decoded count.
     fn read_state(r: &mut StateReader<'_>) -> Result<Self, StateDecodeError> {
         let invalid = |msg: String| StateDecodeError::Invalid(format!("inverted index: {msg}"));
         let nbits = usize::read_state(r)?;
@@ -325,40 +391,52 @@ impl StateSerialize for InvertedIndex {
         if docs != doc_len.iter().filter(|&&l| l != ABSENT).count() {
             return Err(invalid("docs does not match the doc_len table".into()));
         }
-        let mut entries: Vec<Vec<PostingRef>> = vec![Vec::new(); doc_len.len()];
-        let mut counts = vec![0u32; doc_len.len()];
-        let mut packed = PackedCatalog::new(nbits);
-        packed.ensure_rows(doc_len.len());
-        for (keyword, list) in postings.iter().enumerate() {
-            for (position, &task) in list.iter().enumerate() {
-                let len = doc_len
-                    .get(task as usize)
-                    .ok_or_else(|| invalid(format!("posting for unknown task {task}")))?;
-                if *len == ABSENT {
-                    return Err(invalid(format!("posting for absent task {task}")));
-                }
-                counts[task as usize] += 1;
-                packed.set_bit(task as usize, keyword);
-                entries[task as usize].push(PostingRef {
-                    keyword: keyword as u32,
-                    position: position as u32,
-                });
+        // Per-task keyword lists in one flat table: count memberships,
+        // check them against `doc_len`, then fill keyword by keyword so each
+        // task's slice comes out ascending.
+        let mut start = vec![0usize; doc_len.len() + 1];
+        for &task in postings.iter().flatten() {
+            match doc_len.get(task as usize) {
+                None => return Err(invalid(format!("posting for unknown task {task}"))),
+                Some(&ABSENT) => return Err(invalid(format!("posting for absent task {task}"))),
+                Some(_) => start[task as usize + 1] += 1,
             }
         }
-        for (task, (&count, &len)) in counts.iter().zip(&doc_len).enumerate() {
-            if len != ABSENT && count != len {
+        for (task, &len) in doc_len.iter().enumerate() {
+            let count = start[task + 1];
+            if len != ABSENT && count != len as usize {
                 return Err(invalid(format!(
                     "task {task} has {count} memberships but doc_len {len}"
                 )));
             }
+            start[task + 1] += start[task];
         }
-        Ok(Self {
-            postings,
-            entries,
-            doc_len,
-            docs,
-            packed,
-        })
+        let mut fill = start.clone();
+        let mut keywords = vec![0u32; start[doc_len.len()]];
+        for (kw, list) in postings.iter().enumerate() {
+            for &task in list {
+                keywords[fill[task as usize]] = kw as u32;
+                fill[task as usize] += 1;
+            }
+        }
+        let mut index = Self::new(nbits);
+        index.class_of = vec![ABSENT; doc_len.len()];
+        for (task, &len) in doc_len.iter().enumerate() {
+            if len == ABSENT {
+                continue;
+            }
+            let key = &keywords[start[task]..start[task + 1]];
+            if key.windows(2).any(|w| w[0] == w[1]) {
+                return Err(invalid(format!(
+                    "task {task} is listed twice under a keyword"
+                )));
+            }
+            let class = index.class_for(key);
+            index.classes[class as usize].members.push(task as u32);
+            index.class_of[task] = class;
+        }
+        index.docs = docs;
+        Ok(index)
     }
 }
 
@@ -370,6 +448,47 @@ mod tests {
         KeywordVec::from_indices(nbits, bits)
     }
 
+    /// Score every `(id, vector)` exactly, keep positive overlaps, sort by
+    /// (score desc, id asc) and cut to `k`: no posting list, no class.
+    fn brute_force(tasks: &[(u32, KeywordVec)], worker: &KeywordVec, k: usize) -> Vec<(u32, f64)> {
+        let wlen = worker.count_ones() as f64;
+        let mut scored: Vec<(u32, f64)> = tasks
+            .iter()
+            .filter_map(|(id, v)| {
+                let overlap = v.intersection_count(worker) as f64;
+                (overlap > 0.0).then(|| (*id, overlap / (v.count_ones() as f64 + wlen - overlap)))
+            })
+            .collect();
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scored.truncate(k);
+        scored
+    }
+
+    /// Open task ids plus each one's keywords: the index's whole content.
+    fn content(idx: &InvertedIndex) -> Vec<(u32, Vec<u32>)> {
+        idx.open_tasks()
+            .map(|t| (t, idx.keywords_of(t).collect()))
+            .collect()
+    }
+
+    /// Every live class is reachable from each of its keywords' posting
+    /// lists at its recorded position, and every posting names a live class.
+    fn assert_postings_consistent(idx: &InvertedIndex) {
+        let mut live = 0;
+        for (id, keywords, members) in idx.classes() {
+            live += 1;
+            assert!(!members.is_empty());
+            let class = &idx.classes[id as usize];
+            for (&kw, &pos) in keywords.iter().zip(&class.positions) {
+                assert_eq!(idx.postings[kw as usize][pos as usize], id);
+            }
+        }
+        let postings: usize = idx.postings.iter().map(Vec::len).sum();
+        let memberships: usize = idx.classes().map(|(_, k, _)| k.len()).sum();
+        assert_eq!(postings, memberships);
+        assert_eq!(live, idx.by_keywords.len());
+    }
+
     #[test]
     fn insert_remove_maintains_postings() {
         let mut idx = InvertedIndex::new(8);
@@ -378,21 +497,27 @@ mod tests {
         assert!(idx.insert(2, &kw(8, &[2, 3])));
         assert!(!idx.insert(2, &kw(8, &[4])), "double insert is a no-op");
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.df(1), 2);
-        assert_eq!(idx.df(2), 2);
         assert_eq!(idx.keyword_count(1), Some(2));
+        assert_eq!(idx.top_k(&kw(8, &[1]), 8).len(), 2);
+        assert_eq!(idx.top_k(&kw(8, &[2]), 8).len(), 2);
 
         assert!(idx.remove(1));
         assert!(!idx.remove(1), "double remove is a no-op");
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.df(1), 1);
-        assert_eq!(idx.df(2), 1);
-        assert_eq!(idx.postings(1), &[0]);
+        assert_eq!(
+            idx.top_k(&kw(8, &[1]), 8),
+            vec![(0, 0.5)],
+            "keyword 1 now reaches task 0 only"
+        );
+        assert_eq!(idx.top_k(&kw(8, &[2]), 8), vec![(2, 0.5)]);
         assert!(idx.keyword_count(1).is_none());
+        assert_eq!(content(&idx), vec![(0, vec![0, 1]), (2, vec![2, 3])]);
+        assert_postings_consistent(&idx);
 
         // Re-insert after removal works.
         assert!(idx.insert(1, &kw(8, &[1, 2])));
-        assert_eq!(idx.df(1), 2);
+        assert_eq!(idx.top_k(&kw(8, &[1]), 8).len(), 2);
+        assert_postings_consistent(&idx);
     }
 
     #[test]
@@ -401,55 +526,63 @@ mod tests {
         for t in 0..10u32 {
             idx.insert(t, &kw(4, &[0, (t as usize % 3) + 1]));
         }
-        // Remove from the middle repeatedly; every removal exercises the
+        // Remove from the middle repeatedly; emptying a class exercises the
         // moved-tail fixup on the shared keyword-0 list.
         for t in [3u32, 0, 7, 5, 9, 1, 2, 8, 6, 4] {
             assert!(idx.remove(t));
+            assert_postings_consistent(&idx);
         }
         assert!(idx.is_empty());
-        for b in 0..4 {
-            assert_eq!(idx.df(b), 0);
+        assert!(idx.postings.iter().all(Vec::is_empty));
+        assert_eq!(idx.classes().count(), 0);
+    }
+
+    #[test]
+    fn classes_group_equal_keyword_sets() {
+        let mut idx = InvertedIndex::new(8);
+        for t in [7u32, 2, 9, 4] {
+            idx.insert(t, &kw(8, &[1, 5]));
         }
+        idx.insert(3, &kw(8, &[1]));
+        let classes: Vec<(Vec<u32>, Vec<u32>)> = idx
+            .classes()
+            .map(|(_, k, m)| (k.to_vec(), m.to_vec()))
+            .collect();
+        assert_eq!(
+            classes,
+            vec![(vec![1, 5], vec![2, 4, 7, 9]), (vec![1], vec![3])]
+        );
+        // A freed class id is reused by the next new keyword set.
+        assert!(idx.remove(3));
+        idx.insert(0, &kw(8, &[6]));
+        assert_eq!(idx.class_slots(), 2);
+        assert_postings_consistent(&idx);
     }
 
     #[test]
     fn top_k_matches_brute_force() {
         let nbits = 12;
         let mut idx = InvertedIndex::new(nbits);
-        let tasks: Vec<KeywordVec> = (0..30)
+        let tasks: Vec<(u32, KeywordVec)> = (0..30)
             .map(|i| {
-                kw(
+                let v = kw(
                     nbits,
                     &[i % nbits, (i * 5 + 1) % nbits, (i * 7 + 3) % nbits],
-                )
+                );
+                (i as u32, v)
             })
             .collect();
-        for (i, t) in tasks.iter().enumerate() {
-            idx.insert(i as u32, t);
+        for (i, t) in &tasks {
+            idx.insert(*i, t);
         }
         let worker = kw(nbits, &[0, 5, 8, 11]);
-        let jac = |t: &KeywordVec| -> f64 {
-            let union = t.union_count(&worker);
-            if union == 0 {
-                0.0
-            } else {
-                t.intersection_count(&worker) as f64 / union as f64
-            }
-        };
         for k in [1usize, 3, 7, 30] {
             let got = idx.top_k(&worker, k);
-            let mut want: Vec<(u32, f64)> = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (i as u32, jac(t)))
-                .filter(|&(_, s)| s > 0.0)
-                .collect();
-            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            want.truncate(k);
+            let want = brute_force(&tasks, &worker, k);
             assert_eq!(got.len(), want.len(), "k={k}");
             for ((gt, gs), (wt, ws)) in got.iter().zip(&want) {
                 assert_eq!(gt, wt, "k={k}");
-                assert!((gs - ws).abs() < 1e-12, "k={k}");
+                assert_eq!(gs.to_bits(), ws.to_bits(), "k={k}");
             }
         }
     }
@@ -457,19 +590,18 @@ mod tests {
     #[test]
     fn top_k_admits_a_tying_lower_id_from_the_last_list() {
         // Worker = {0, 1}. Task 5 = {0} scores 1/(1+2-1) = 1/2 and is seen
-        // first (kw 0 has the smallest document frequency). Task 2 = {1}
-        // also scores exactly 1/2 but only appears in the *last* (largest
-        // DF) posting list. Any query body that stopped admitting new tasks
-        // once the unseen bound (remaining/|w| = 1/2) merely tied the k-th
-        // score would drop task 2 and break the documented ascending-id
-        // tie-break (2 before 5) against brute force.
+        // first (kw 0 is the first worker term). Task 2 = {1} also scores
+        // exactly 1/2 but only appears in the *last* posting list. Any
+        // query body that stopped admitting new tasks once the unseen bound
+        // (remaining/|w| = 1/2) merely tied the k-th score would drop task
+        // 2 and break the documented ascending-id tie-break (2 before 5)
+        // against brute force.
         let nbits = 8;
         let mut idx = InvertedIndex::new(nbits);
         idx.insert(5, &kw(nbits, &[0]));
         idx.insert(2, &kw(nbits, &[1]));
         idx.insert(9, &kw(nbits, &[1, 6, 7]));
         let worker = kw(nbits, &[0, 1]);
-        assert!(idx.df(0) < idx.df(1), "kw 1 must be the last list visited");
         let got = idx.top_k(&worker, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 2, "lower-id tie must win: {got:?}");
@@ -477,6 +609,32 @@ mod tests {
         // The full ranking keeps both tying tasks in id order.
         let got = idx.top_k(&worker, 2);
         assert_eq!(got.iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![2, 5]);
+    }
+
+    #[test]
+    fn equal_score_classes_merge_by_ascending_id() {
+        // Two classes tie at 1/2 against worker {0, 1}; their member lists
+        // interleave, so the cut at k must take ids from both in id order.
+        let nbits = 4;
+        let mut idx = InvertedIndex::new(nbits);
+        let mut tasks = Vec::new();
+        for t in 0..12u32 {
+            let v = if t % 3 == 0 {
+                kw(nbits, &[1])
+            } else {
+                kw(nbits, &[0])
+            };
+            idx.insert(t, &v);
+            tasks.push((t, v));
+        }
+        let worker = kw(nbits, &[0, 1]);
+        for k in 1..=12 {
+            assert_eq!(
+                idx.top_k(&worker, k),
+                brute_force(&tasks, &worker, k),
+                "k={k}"
+            );
+        }
     }
 
     #[test]
@@ -492,9 +650,8 @@ mod tests {
             .collect();
         // Duplicate ids (with *different* vectors) must be skipped exactly
         // like `insert` skips them: first occurrence wins. A duplicate that
-        // slipped through would double-count `docs` and leave task 17 with
-        // two sets of posting back-refs, so the `remove` below would patch
-        // wrong positions.
+        // slipped through would double-count `docs` and leave task 17 in
+        // two classes, so the `remove` below would leave a stale member.
         pairs.push((17, &vecs[4]));
         pairs.push((902, &vecs[1]));
         let bulk = InvertedIndex::build(nbits, &pairs);
@@ -504,23 +661,19 @@ mod tests {
         }
         assert_eq!(bulk.len(), incr.len());
         assert_eq!(bulk.len(), 2000, "duplicates must not inflate docs");
-        for b in 0..nbits as u32 {
-            let mut lb: Vec<u32> = bulk.postings(b).to_vec();
-            let mut li: Vec<u32> = incr.postings(b).to_vec();
-            lb.sort_unstable();
-            li.sort_unstable();
-            assert_eq!(lb, li, "keyword {b}");
-        }
+        assert_eq!(content(&bulk), content(&incr));
         // The bulk-built index supports incremental maintenance too — and
-        // removing a formerly-duplicated id leaves no stale postings behind.
+        // removing a formerly-duplicated id leaves no stale member behind.
         let mut bulk = bulk;
         assert!(bulk.remove(17));
-        for b in 0..nbits as u32 {
-            assert!(!bulk.postings(b).contains(&17), "stale posting for 17");
-        }
+        assert!(bulk.classes().all(|(_, _, members)| !members.contains(&17)));
+        let worker = kw(nbits, &vecs[17].iter_ones().collect::<Vec<_>>());
+        assert!(bulk.top_k(&worker, 2000).iter().all(|&(t, _)| t != 17));
         assert!(bulk.insert(17, &vecs[17]));
         assert!(bulk.remove(902));
         assert!(bulk.insert(902, &vecs[902]));
+        assert_eq!(content(&bulk), content(&incr));
+        assert_postings_consistent(&bulk);
     }
 
     #[test]
@@ -529,28 +682,28 @@ mod tests {
         idx.insert(0, &kw(2, &[0, 1]));
         idx.widen(6);
         assert_eq!(idx.nbits(), 6);
-        assert_eq!(idx.df(0), 1);
+        assert_eq!(idx.top_k(&kw(6, &[0]), 4), vec![(0, 0.5)]);
         idx.insert(1, &kw(6, &[5]));
-        assert_eq!(idx.postings(5), &[1]);
+        assert_eq!(idx.top_k(&kw(6, &[5]), 4), vec![(1, 1.0)]);
+        // Widening never splits a class: a wider vector with the same
+        // keyword ids lands in the existing one.
+        idx.insert(2, &kw(6, &[0, 1]));
+        assert_eq!(idx.classes().count(), 2);
     }
 
     #[test]
-    fn widen_past_a_lane_group_keeps_the_dense_body_exact() {
+    fn widen_past_a_lane_group_keeps_top_k_exact() {
         let mut idx = InvertedIndex::new(4);
         idx.insert(0, &kw(4, &[0, 3]));
-        // Past 256 bits the packed mirror's row stride grows; the rows it
-        // repacks must still answer the dense body like the postings do.
+        // Past 256 bits a packed keyword row would need a wider stride;
+        // class keys are keyword ids, so nothing is repacked.
         idx.widen(300);
         assert_eq!(idx.nbits(), 300);
-        assert_eq!(idx.df(0), 1);
         idx.insert(1, &kw(300, &[0, 299]));
-        assert_eq!(idx.postings(299), &[1]);
         assert_eq!(idx.keywords_of(1).collect::<Vec<_>>(), vec![0, 299]);
         let worker = kw(300, &[0, 3, 299]);
-        assert_eq!(
-            idx.top_k_dense(&worker, 4, worker.count_ones()),
-            idx.top_k(&worker, 4)
-        );
+        let tasks = vec![(0, kw(300, &[0, 3])), (1, kw(300, &[0, 299]))];
+        assert_eq!(idx.top_k(&worker, 4), brute_force(&tasks, &worker, 4));
     }
 
     #[test]
@@ -573,11 +726,11 @@ mod tests {
             idx.keywords_of(3).collect::<Vec<_>>(),
             vecs[3].iter_ones().map(|b| b as u32).collect::<Vec<_>>()
         );
-        // And removal leaves no stale postings.
+        // And removal leaves no stale member.
         assert!(idx.remove(3));
-        for b in 0..nbits as u32 {
-            assert!(!idx.postings(b).contains(&3));
-        }
+        assert!(idx.classes().all(|(_, _, members)| !members.contains(&3)));
+        assert!(!idx.open_tasks().any(|t| t == 3));
+        assert_postings_consistent(&idx);
     }
 
     #[test]
@@ -604,53 +757,47 @@ mod tests {
             .map(|t| (t, &vecs[t as usize]))
             .collect();
         let fresh = InvertedIndex::build(nbits, &survivors);
-        assert!(idx.open_tasks().eq(fresh.open_tasks()));
-        for b in 0..nbits as u32 {
-            let mut got = idx.postings(b).to_vec();
-            got.sort_unstable();
-            let mut want = fresh.postings(b).to_vec();
-            want.sort_unstable();
-            assert_eq!(got, want, "keyword {b}");
-        }
+        assert_eq!(content(&idx), content(&fresh));
+        assert_postings_consistent(&idx);
         let worker = kw(nbits, &[1, 6, 11]);
         assert_eq!(idx.top_k(&worker, 10), fresh.top_k(&worker, 10));
     }
 
     #[test]
-    fn dense_rescore_equals_posting_accumulation() {
+    fn top_k_with_holes_and_wide_queries_equals_brute_force() {
         let nbits = 48;
         let mut idx = InvertedIndex::new(nbits);
+        let mut tasks = Vec::new();
         for i in 0..300u32 {
             let i_us = i as usize;
-            idx.insert(
-                i,
-                &kw(
-                    nbits,
-                    &[
-                        i_us % nbits,
-                        (i_us * 7 + 1) % nbits,
-                        (i_us * 13 + 5) % nbits,
-                    ],
-                ),
+            let v = kw(
+                nbits,
+                &[
+                    i_us % nbits,
+                    (i_us * 7 + 1) % nbits,
+                    (i_us * 13 + 5) % nbits,
+                ],
             );
+            idx.insert(i, &v);
+            tasks.push((i, v));
         }
-        // Punch holes so zeroed rows are exercised.
+        // Punch holes so emptied and thinned classes are exercised.
         for i in (0..300u32).step_by(7) {
             idx.remove(i);
         }
+        tasks.retain(|(i, _)| i % 7 != 0);
         for k in [1usize, 5, 40, 1000] {
             for worker in [
                 kw(nbits, &[0, 1, 2, 3]),
                 kw(nbits, &(0..nbits).collect::<Vec<_>>()),
                 kw(nbits, &[47]),
             ] {
-                let wlen = worker.count_ones();
-                let dense = idx.top_k_dense(&worker, k, wlen);
-                let sparse = idx.top_k(&worker, k);
-                assert_eq!(dense.len(), sparse.len(), "k={k}");
-                for (d, s) in dense.iter().zip(&sparse) {
-                    assert_eq!(d.0, s.0, "k={k}");
-                    assert_eq!(d.1.to_bits(), s.1.to_bits(), "k={k}");
+                let got = idx.top_k(&worker, k);
+                let want = brute_force(&tasks, &worker, k);
+                assert_eq!(got.len(), want.len(), "k={k}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.0, w.0, "k={k}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "k={k}");
                 }
             }
         }

@@ -5,14 +5,17 @@
 //! web-service catalog sizes. This crate adds the retrieval layer that
 //! online-assignment systems put in front of their solvers:
 //!
-//! * [`InvertedIndex`] — keyword → posting list of *open* tasks, maintained
-//!   incrementally in `O(|kw(t)|)` per task arrival/completion;
-//! * [`InvertedIndex::top_k`] — exact per-worker top-k relevance retrieval,
-//!   by posting accumulation or, for queries whose candidates reach the
-//!   task-id space, a batched popcount rescore of a packed keyword mirror;
+//! * [`InvertedIndex`] — keyword → posting list of the *keyword classes*
+//!   (distinct keyword sets) holding open tasks, each class with its
+//!   ascending open task ids, maintained incrementally per task
+//!   arrival/completion;
+//! * [`InvertedIndex::top_k`] — exact per-worker top-k relevance retrieval
+//!   that scores each touched class once and merges equal-score classes
+//!   by ascending task id;
 //! * [`CandidatePool`] — unions per-worker top-k sets, fills up to the
-//!   feasibility floor `|W| · X_max` with coverage-seeded diverse tasks, and
-//!   builds a pool-local [`hta_core::Instance`] with a back-to-catalog map;
+//!   feasibility floor `|W| · X_max` with coverage-seeded diverse tasks
+//!   (scored once per class per coverage state), and builds a pool-local
+//!   [`hta_core::Instance`] with a back-to-catalog map;
 //! * [`SparseCandidateGenerator`] — plugs the whole pipeline into
 //!   [`hta_core::IterationEngine`] via the
 //!   [`hta_core::CandidateGenerator`] hook.

@@ -10,6 +10,7 @@
 //! the solvers treat as any other instance, plus the index-back-to-catalog
 //! table needed to commit assignments against the real task ids.
 
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::str::FromStr;
@@ -199,52 +200,17 @@ impl CandidatePool {
         Self { members, topk_hits }
     }
 
-    /// Top the pool up to `floor` members with coverage-seeded open tasks.
+    /// Top the pool up to `floor` members with coverage-seeded open tasks:
+    /// the CELF admission sequence of a lazy max-heap holding every open
+    /// task keyed by (coverage score, smallest id first), replayed over
+    /// keyword classes. See [`Seeding`].
     fn seed_diverse(
         index: &InvertedIndex,
         members: &mut Vec<u32>,
         in_pool: &mut HashMap<u32, ()>,
         floor: usize,
     ) {
-        // Keyword representation inside the current pool.
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        for &m in members.iter() {
-            for kw in index.keywords_of(m) {
-                *counts.entry(kw).or_insert(0) += 1;
-            }
-        }
-        let score = |counts: &HashMap<u32, u32>, task: u32| -> f64 {
-            let mut s = 0.0;
-            for kw in index.keywords_of(task) {
-                s += 1.0 / (1.0 + counts.get(&kw).copied().unwrap_or(0) as f64);
-            }
-            s
-        };
-        // Max-heap keyed by (score bits, smallest id wins ties). Coverage
-        // scores are non-negative, so IEEE bit order == numeric order.
-        let mut heap: BinaryHeap<(u64, std::cmp::Reverse<u32>)> = index
-            .open_tasks()
-            .filter(|t| !in_pool.contains_key(t))
-            .map(|t| (score(&counts, t).to_bits(), std::cmp::Reverse(t)))
-            .collect();
-        while members.len() < floor {
-            let Some((stale, std::cmp::Reverse(task))) = heap.pop() else {
-                break;
-            };
-            let fresh = score(&counts, task).to_bits();
-            // Stale keys are upper bounds; accept only when the refreshed
-            // score still beats every other candidate's upper bound.
-            let next_best = heap.peek().map(|&(b, _)| b).unwrap_or(0);
-            if fresh >= next_best || fresh == stale {
-                members.push(task);
-                in_pool.insert(task, ());
-                for kw in index.keywords_of(task) {
-                    *counts.entry(kw).or_insert(0) += 1;
-                }
-            } else {
-                heap.push((fresh, std::cmp::Reverse(task)));
-            }
-        }
+        Seeding::new(index, members, in_pool).run(members, in_pool, floor);
     }
 
     /// Pool members as catalog task ids, ascending.
@@ -313,6 +279,259 @@ impl CandidatePool {
     }
 }
 
+/// A run of one class's open tasks that share one heap key: positions
+/// `start..end` of the class's ascending member list. Pool members inside
+/// the span are skipped; the first and last positions are never pool
+/// members.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    class: u32,
+    start: u32,
+    end: u32,
+}
+
+/// Diversity seeding over keyword classes.
+///
+/// The reference rule is a lazy max-heap over every open task outside the
+/// pool, keyed by its coverage score when last computed, smallest id first
+/// among equal keys. Pop the top task and rescore it; admit it if the fresh
+/// score is still at least the next key in the heap or equals its own key,
+/// else push it back under the fresh score. A task's score depends only on
+/// its keyword set, so all tasks of a class share one fresh score per
+/// coverage state, and the tasks under one key form a few id-ascending runs
+/// per class. Seeding replays that pop sequence a whole key (a *level*) at
+/// a time:
+///
+/// * while some class at the level still scores the level, the lowest id
+///   among such classes is the next admission, and every level task below
+///   it is rejected to its class's fresh score (a level task remains, so
+///   the next key is the level itself);
+/// * once no class scores the level, every level task but the last is
+///   rejected the same way, and the last is admitted iff its fresh score
+///   is at least the best key left in the heap.
+///
+/// Scores are memoised per class until the next admission changes the
+/// coverage counts, so the work tracks classes and runs, not open tasks.
+struct Seeding<'a> {
+    index: &'a InvertedIndex,
+    /// Keyword representation inside the current pool.
+    counts: HashMap<u32, u32>,
+    /// Admissions so far: the coverage state the memo is valid for.
+    admitted: u32,
+    /// Per class slot: (coverage state, score bits) of its last scoring.
+    memo: Vec<(u32, u64)>,
+    runs: Vec<Run>,
+    /// Runs keyed by score bits. Coverage scores are non-negative, so IEEE
+    /// bit order is numeric order.
+    heap: BinaryHeap<(u64, u32)>,
+}
+
+/// Runs of the level being replayed, lowest first id on top.
+type LevelHeap = BinaryHeap<Reverse<(u32, u32)>>;
+
+impl<'a> Seeding<'a> {
+    fn new(index: &'a InvertedIndex, members: &[u32], in_pool: &HashMap<u32, ()>) -> Self {
+        let mut counts: HashMap<u32, u32> = HashMap::new();
+        for &m in members {
+            for kw in index.keywords_of(m) {
+                *counts.entry(kw).or_insert(0) += 1;
+            }
+        }
+        let mut seeding = Self {
+            index,
+            counts,
+            admitted: 0,
+            memo: vec![(u32::MAX, 0); index.class_slots()],
+            runs: Vec::new(),
+            heap: BinaryHeap::new(),
+        };
+        for (class, _, tasks) in index.classes() {
+            let run = Run {
+                class,
+                start: 0,
+                end: tasks.len() as u32,
+            };
+            seeding.push_rejected(run, in_pool);
+        }
+        seeding
+    }
+
+    fn run(mut self, members: &mut Vec<u32>, in_pool: &mut HashMap<u32, ()>, floor: usize) {
+        while members.len() < floor {
+            let Some(&(level, _)) = self.heap.peek() else {
+                break;
+            };
+            let mut candidates = LevelHeap::new();
+            while let Some(&(key, run)) = self.heap.peek() {
+                if key != level {
+                    break;
+                }
+                self.heap.pop();
+                candidates.push(Reverse((self.first(run), run)));
+            }
+            self.replay_level(level, candidates, members, in_pool, floor);
+        }
+    }
+
+    /// Replay the pops of every task keyed `level` (or stop at `floor`).
+    fn replay_level(
+        &mut self,
+        level: u64,
+        mut candidates: LevelHeap,
+        members: &mut Vec<u32>,
+        in_pool: &mut HashMap<u32, ()>,
+        floor: usize,
+    ) {
+        // Runs whose class scores below the level; scores only fall, so a
+        // run never returns to `candidates`.
+        let mut below = LevelHeap::new();
+        loop {
+            while let Some(&Reverse((first, run))) = candidates.peek() {
+                if self.score(self.runs[run as usize].class) == level {
+                    break;
+                }
+                candidates.pop();
+                below.push(Reverse((first, run)));
+            }
+            let Some(Reverse((task, run))) = candidates.pop() else {
+                self.finish_level(below, members, in_pool);
+                return;
+            };
+            while let Some(&Reverse((first, low))) = below.peek() {
+                if first > task {
+                    break;
+                }
+                below.pop();
+                let r = self.runs[low as usize];
+                let tasks = self.tasks(r);
+                let split = r.start + tasks.partition_point(|&t| t < task) as u32;
+                self.push_rejected(Run { end: split, ..r }, in_pool);
+                if let Some(rest) = self.trim(Run { start: split, ..r }, in_pool) {
+                    self.runs[low as usize] = rest;
+                    below.push(Reverse((self.first(low), low)));
+                }
+            }
+            self.admit(task, members, in_pool);
+            if members.len() >= floor {
+                return;
+            }
+            let r = self.runs[run as usize];
+            if let Some(rest) = self.trim(
+                Run {
+                    start: r.start + 1,
+                    ..r
+                },
+                in_pool,
+            ) {
+                self.runs[run as usize] = rest;
+                candidates.push(Reverse((self.first(run), run)));
+            }
+        }
+    }
+
+    /// No class at the level scores it any more: reject every level task
+    /// but the last, then admit the last iff its fresh score is at least
+    /// the best key left in the heap.
+    fn finish_level(
+        &mut self,
+        below: LevelHeap,
+        members: &mut Vec<u32>,
+        in_pool: &mut HashMap<u32, ()>,
+    ) {
+        let mut runs: Vec<u32> = below.into_iter().map(|Reverse((_, run))| run).collect();
+        let Some(at) = (0..runs.len()).max_by_key(|&i| self.last(runs[i])) else {
+            return;
+        };
+        let last_run = runs.swap_remove(at);
+        for run in runs {
+            self.push_rejected(self.runs[run as usize], in_pool);
+        }
+        let r = self.runs[last_run as usize];
+        let last = self.last(last_run);
+        self.push_rejected(
+            Run {
+                end: r.end - 1,
+                ..r
+            },
+            in_pool,
+        );
+        let fresh = self.score(r.class);
+        let next_best = self.heap.peek().map_or(0, |&(key, _)| key);
+        if fresh >= next_best {
+            self.admit(last, members, in_pool);
+        } else {
+            self.push_rejected(
+                Run {
+                    start: r.end - 1,
+                    ..r
+                },
+                in_pool,
+            );
+        }
+    }
+
+    /// Push the (trimmed, non-empty) run back keyed by its class's fresh
+    /// score.
+    fn push_rejected(&mut self, run: Run, in_pool: &HashMap<u32, ()>) {
+        if let Some(run) = self.trim(run, in_pool) {
+            let key = self.score(run.class);
+            self.runs.push(run);
+            self.heap.push((key, (self.runs.len() - 1) as u32));
+        }
+    }
+
+    fn admit(&mut self, task: u32, members: &mut Vec<u32>, in_pool: &mut HashMap<u32, ()>) {
+        members.push(task);
+        in_pool.insert(task, ());
+        for kw in self.index.keywords_of(task) {
+            *self.counts.entry(kw).or_insert(0) += 1;
+        }
+        self.admitted += 1;
+    }
+
+    /// Coverage score bits of `class` under the current pool counts:
+    /// `Σ_{kw} 1 / (1 + count(kw))` in ascending keyword order.
+    fn score(&mut self, class: u32) -> u64 {
+        let (state, bits) = self.memo[class as usize];
+        if state == self.admitted {
+            return bits;
+        }
+        let mut s = 0.0;
+        for kw in self.index.class_keywords(class) {
+            s += 1.0 / (1.0 + self.counts.get(kw).copied().unwrap_or(0) as f64);
+        }
+        self.memo[class as usize] = (self.admitted, s.to_bits());
+        s.to_bits()
+    }
+
+    fn tasks(&self, run: Run) -> &'a [u32] {
+        &self.index.class_members(run.class)[run.start as usize..run.end as usize]
+    }
+
+    fn first(&self, run: u32) -> u32 {
+        self.tasks(self.runs[run as usize])[0]
+    }
+
+    fn last(&self, run: u32) -> u32 {
+        *self
+            .tasks(self.runs[run as usize])
+            .last()
+            .expect("runs are non-empty")
+    }
+
+    /// Shrink `run` past pool members at either end; `None` if none is left.
+    fn trim(&self, mut run: Run, in_pool: &HashMap<u32, ()>) -> Option<Run> {
+        let members = self.index.class_members(run.class);
+        while run.start < run.end && in_pool.contains_key(&members[run.start as usize]) {
+            run.start += 1;
+        }
+        while run.start < run.end && in_pool.contains_key(&members[run.end as usize - 1]) {
+            run.end -= 1;
+        }
+        (run.start < run.end).then_some(run)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,6 +552,138 @@ mod tests {
             index.insert(t.id.0, &t.keywords);
         }
         (tasks, index)
+    }
+
+    /// The per-task CELF seeding the class replay must reproduce: a lazy
+    /// max-heap over every open task outside the pool, keyed by (score
+    /// bits, smallest id first).
+    fn seed_diverse_per_task(
+        index: &InvertedIndex,
+        members: &mut Vec<u32>,
+        in_pool: &mut HashMap<u32, ()>,
+        floor: usize,
+    ) {
+        let mut counts: HashMap<u32, u32> = HashMap::new();
+        for &m in members.iter() {
+            for kw in index.keywords_of(m) {
+                *counts.entry(kw).or_insert(0) += 1;
+            }
+        }
+        let score = |counts: &HashMap<u32, u32>, task: u32| -> f64 {
+            let mut s = 0.0;
+            for kw in index.keywords_of(task) {
+                s += 1.0 / (1.0 + counts.get(&kw).copied().unwrap_or(0) as f64);
+            }
+            s
+        };
+        let mut heap: BinaryHeap<(u64, Reverse<u32>)> = index
+            .open_tasks()
+            .filter(|t| !in_pool.contains_key(t))
+            .map(|t| (score(&counts, t).to_bits(), Reverse(t)))
+            .collect();
+        while members.len() < floor {
+            let Some((stale, Reverse(task))) = heap.pop() else {
+                break;
+            };
+            let fresh = score(&counts, task).to_bits();
+            let next_best = heap.peek().map(|&(b, _)| b).unwrap_or(0);
+            if fresh >= next_best || fresh == stale {
+                members.push(task);
+                in_pool.insert(task, ());
+                for kw in index.keywords_of(task) {
+                    *counts.entry(kw).or_insert(0) += 1;
+                }
+            } else {
+                heap.push((fresh, Reverse(task)));
+            }
+        }
+    }
+
+    /// Splitmix64 stream for generated catalogs.
+    struct Mix(u64);
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A churned index over `n` tasks drawn from `distinct` keyword sets
+    /// (`None` = every task draws its own), on a narrow universe so that
+    /// different classes often tie on coverage score.
+    fn churned_index(seed: u64, n: usize, distinct: Option<usize>) -> InvertedIndex {
+        let nbits = 8;
+        let mut mix = Mix(seed);
+        let draw = |mix: &mut Mix| {
+            let picks: Vec<usize> = (0..mix.below(4))
+                .map(|_| mix.below(nbits as u64) as usize)
+                .collect();
+            kw(nbits, &picks)
+        };
+        let kinds: Vec<KeywordVec> = (0..distinct.unwrap_or(0)).map(|_| draw(&mut mix)).collect();
+        let vecs: Vec<KeywordVec> = (0..n)
+            .map(|_| match distinct {
+                Some(d) => kinds[mix.below(d as u64) as usize].clone(),
+                None => draw(&mut mix),
+            })
+            .collect();
+        let mut index = InvertedIndex::new(nbits);
+        for (t, v) in vecs.iter().enumerate() {
+            index.insert(t as u32, v);
+        }
+        for _ in 0..n / 3 {
+            let t = mix.below(n as u64) as u32;
+            if mix.below(3) == 0 {
+                index.insert(t, &vecs[t as usize]);
+            } else {
+                index.remove(t);
+            }
+        }
+        index
+    }
+
+    #[test]
+    fn class_seeding_replays_the_per_task_admission_sequence() {
+        let mut ties = 0;
+        for seed in 0..400u64 {
+            let n = 10 + (seed as usize * 7) % 120;
+            let distinct = match seed % 3 {
+                0 => None,
+                d => Some(1 + d as usize * 2),
+            };
+            let index = churned_index(seed, n, distinct);
+            let mut mix = Mix(!seed);
+            let open: Vec<u32> = index.open_tasks().collect();
+            let mut pool: Vec<u32> = Vec::new();
+            for _ in 0..mix.below(6) {
+                if let Some(&t) = open.get(mix.below(open.len().max(1) as u64) as usize) {
+                    if !pool.contains(&t) {
+                        pool.push(t);
+                    }
+                }
+            }
+            let floor = pool.len() + mix.below(open.len() as u64 + 2) as usize;
+            let in_pool: HashMap<u32, ()> = pool.iter().map(|&t| (t, ())).collect();
+
+            let (mut want, mut want_in) = (pool.clone(), in_pool.clone());
+            seed_diverse_per_task(&index, &mut want, &mut want_in, floor);
+            let (mut got, mut got_in) = (pool.clone(), in_pool.clone());
+            CandidatePool::seed_diverse(&index, &mut got, &mut got_in, floor);
+            assert_eq!(got, want, "seed {seed}: admission sequence");
+
+            // Count catalogs where two classes start out tied on score.
+            let seeding = Seeding::new(&index, &pool, &in_pool);
+            let mut keys: Vec<u64> = seeding.heap.iter().map(|&(k, _)| k).collect();
+            keys.sort_unstable();
+            ties += usize::from(keys.windows(2).any(|w| w[0] == w[1]));
+        }
+        assert!(ties > 50, "only {ties} catalogs had tying classes");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! 1. incremental maintenance is *exact* — an index that saw any interleaving
 //!    of inserts and removes equals a fresh bulk build over the surviving
 //!    tasks;
-//! 2. retrieval is *exact* — under the same histories the index holds what a
+//! 2. retrieval is *exact* — under the same histories (widening included,
+//!    on duplicate-heavy and all-distinct catalogs) the index holds what a
 //!    brute-force oracle holds and `top_k` returns what scoring every open
 //!    task does;
 //! 3. sparse candidate generation does not destroy solution quality — the
@@ -12,29 +13,25 @@
 //!    factor of the dense solve on small instances.
 
 use hta_core::prelude::*;
+use hta_core::state::{decode, encode};
 use hta_index::{InvertedIndex, SparseCandidateGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Canonical, comparison-friendly view of an index: per-keyword sorted
-/// posting lists plus the sorted open-task set.
-fn snapshot(index: &InvertedIndex) -> (Vec<Vec<u32>>, Vec<u32>) {
-    let postings: Vec<Vec<u32>> = (0..index.nbits() as u32)
-        .map(|kw| {
-            let mut list = index.postings(kw).to_vec();
-            list.sort_unstable();
-            list
-        })
-        .collect();
-    let open: Vec<u32> = index.open_tasks().collect();
-    (postings, open)
+/// Comparison-friendly view of an index: every open task with its
+/// keyword ids, ascending by task.
+fn snapshot(index: &InvertedIndex) -> Vec<(u32, Vec<u32>)> {
+    index
+        .open_tasks()
+        .map(|t| (t, index.keywords_of(t).collect()))
+        .collect()
 }
 
 proptest! {
     /// Insert everything, remove a subset, re-insert part of that subset:
     /// the result must equal a fresh bulk build over the surviving tasks,
-    /// posting list by posting list.
+    /// task by task.
     #[test]
     fn insert_remove_round_trip_equals_fresh_build(
         kw_picks in proptest::collection::vec(
@@ -119,7 +116,7 @@ fn brute_force_top_k(
 proptest! {
     /// Under any interleaving of inserts and removes, the index agrees with
     /// a brute-force oracle (a table of the open tasks' keyword vectors):
-    /// same open-task set, same posting sets and per-task keywords, and
+    /// same open-task set, same per-keyword reach and per-task keywords, and
     /// **byte-identical** `top_k` results (same ids, same `f64` score bits,
     /// same tie order). Exact float equality is deliberate — both sides
     /// evaluate `overlap / union` on the same integers.
@@ -174,8 +171,13 @@ proptest! {
             .collect();
         prop_assert_eq!(index.open_tasks().collect::<Vec<_>>(), open.clone());
         prop_assert_eq!(index.len(), open.len());
+        // A one-keyword query reaches exactly the open tasks carrying it.
         for b in 0..nbits {
-            let mut got = index.postings(b as u32).to_vec();
+            let mut got: Vec<u32> = index
+                .top_k(&KeywordVec::from_indices(nbits, &[b]), vecs.len())
+                .into_iter()
+                .map(|(t, _)| t)
+                .collect();
             got.sort_unstable();
             let want: Vec<u32> = open
                 .iter()
@@ -184,6 +186,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want, "keyword {}", b);
         }
+        // The written state reads back to the same content.
+        let back: InvertedIndex = decode(&encode(&index)).expect("round trip");
+        prop_assert_eq!(snapshot(&back), snapshot(&index));
         for &t in &open {
             let v = oracle[t as usize].as_ref().unwrap();
             let want: Vec<u32> = v.iter_ones().map(|b| b as u32).collect();
@@ -197,6 +202,150 @@ proptest! {
             // Exact Vec<(u32, f64)> equality: ids, score bits, order.
             prop_assert_eq!(index.top_k(&w, k), brute_force_top_k(&oracle, &w, k));
         }
+    }
+}
+
+/// One step of index churn.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(usize),
+    Remove(usize),
+    /// Widen the universe by the given number of keywords.
+    Widen(usize),
+    /// Query with the given keyword ids and depth.
+    Query(Vec<usize>, usize),
+}
+
+fn op_strategy(tasks: usize) -> impl Strategy<Value = Op> {
+    (
+        0u8..10,
+        0..tasks,
+        1usize..40,
+        proptest::collection::vec(0usize..72, 1..6),
+        1usize..12,
+    )
+        .prop_map(|(kind, task, by, worker, k)| match kind {
+            0..=3 => Op::Insert(task),
+            4..=6 => Op::Remove(task),
+            7 => Op::Widen(by),
+            _ => Op::Query(worker, k),
+        })
+}
+
+/// The oracle's `top_k` over keyword-id lists: score every open task
+/// exactly, keep positive overlaps, sort by (score desc, id asc), cut to
+/// `k`.
+fn brute_force_by_ids(open: &[Option<Vec<usize>>], worker: &[usize], k: usize) -> Vec<(u32, f64)> {
+    let wlen = worker.len() as f64;
+    let mut scored: Vec<(u32, f64)> = open
+        .iter()
+        .enumerate()
+        .filter_map(|(id, t)| {
+            let t = t.as_ref()?;
+            let overlap = t.iter().filter(|b| worker.contains(b)).count() as f64;
+            (overlap > 0.0).then(|| (id as u32, overlap / (t.len() as f64 + wlen - overlap)))
+        })
+        .collect();
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// Replay `ops` on an index over `sets` (task id = position) against the
+/// brute-force oracle. Each task is inserted at the universe width current
+/// at that moment, so widening must never split a keyword class.
+fn check_churn(sets: &[Vec<usize>], ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut nbits = 24;
+    let mut index = InvertedIndex::new(nbits);
+    let mut oracle: Vec<Option<Vec<usize>>> = vec![None; sets.len()];
+    for op in ops {
+        match op {
+            Op::Insert(t) => {
+                let t = t % sets.len();
+                let v = KeywordVec::from_indices(nbits, &sets[t]);
+                prop_assert_eq!(index.insert(t as u32, &v), oracle[t].is_none());
+                oracle[t] = Some(sets[t].clone());
+            }
+            Op::Remove(t) => {
+                let t = t % sets.len();
+                prop_assert_eq!(index.remove(t as u32), oracle[t].is_some());
+                oracle[t] = None;
+            }
+            Op::Widen(by) => {
+                nbits += by;
+                index.widen(nbits);
+                prop_assert_eq!(index.nbits(), nbits);
+            }
+            Op::Query(worker, k) => {
+                let mut worker: Vec<usize> = worker.iter().map(|b| b % nbits).collect();
+                worker.sort_unstable();
+                worker.dedup();
+                let w = KeywordVec::from_indices(nbits, &worker);
+                prop_assert_eq!(
+                    index.top_k(&w, *k),
+                    brute_force_by_ids(&oracle, &worker, *k)
+                );
+            }
+        }
+    }
+    let open: Vec<u32> = (0..sets.len() as u32)
+        .filter(|&t| oracle[t as usize].is_some())
+        .collect();
+    prop_assert_eq!(index.open_tasks().collect::<Vec<_>>(), open.clone());
+    prop_assert_eq!(index.len(), open.len());
+    for &t in &open {
+        let want: Vec<u32> = oracle[t as usize]
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|&b| b as u32)
+            .collect();
+        prop_assert_eq!(index.keywords_of(t).collect::<Vec<_>>(), want);
+    }
+    let back: InvertedIndex = decode(&encode(&index)).expect("round trip");
+    prop_assert_eq!(snapshot(&back), snapshot(&index));
+    prop_assert_eq!(encode(&back), encode(&index));
+    let w = KeywordVec::from_indices(nbits, &[0, 3, 5, 9, 17, 23]);
+    prop_assert_eq!(back.top_k(&w, 50), index.top_k(&w, 50));
+    Ok(())
+}
+
+/// Sorted, deduplicated keyword ids below 24.
+fn keyword_set() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..24, 0..5).prop_map(|mut set| {
+        set.sort_unstable();
+        set.dedup();
+        set
+    })
+}
+
+proptest! {
+    /// Duplicate-heavy catalog: every task carries one of 2–5 keyword sets,
+    /// so classes hold many tasks and equal-score classes must merge by id.
+    #[test]
+    fn class_index_equals_brute_force_on_duplicate_heavy_catalogs(
+        kinds in proptest::collection::vec(keyword_set(), 2..=5),
+        picks in proptest::collection::vec(0usize..5, 1..60),
+        ops in proptest::collection::vec(op_strategy(60), 1..120),
+    ) {
+        let sets: Vec<Vec<usize>> = picks.iter().map(|&p| kinds[p % kinds.len()].clone()).collect();
+        check_churn(&sets, &ops)?;
+    }
+
+    /// All-distinct catalog: every class holds at most one task, so every
+    /// insert opens a class and every remove closes one.
+    #[test]
+    fn class_index_equals_brute_force_on_all_distinct_catalogs(
+        drawn in proptest::collection::vec(keyword_set(), 1..60),
+        ops in proptest::collection::vec(op_strategy(60), 1..120),
+    ) {
+        let mut sets: Vec<Vec<usize>> = Vec::new();
+        for set in drawn {
+            if !sets.contains(&set) {
+                sets.push(set);
+            }
+        }
+        check_churn(&sets, &ops)?;
     }
 }
 

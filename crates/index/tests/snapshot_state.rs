@@ -1,13 +1,14 @@
 //! Round-trip tests for the index `StateSerialize` impls.
 //!
 //! The resume-identity guarantee needs a restored index to be not merely
-//! *equivalent* but *operationally identical* to the live one: posting-list
-//! order encodes swap-remove history, and future removes/queries must
-//! behave byte-identically. These tests drive random insert/remove
-//! histories, snapshot mid-flight, and check both structural equality and
-//! continued-operation equality.
+//! *equivalent* but *operationally identical* to the live one: future
+//! removes and queries must behave byte-identically. These tests drive
+//! random insert/remove histories, snapshot mid-flight, and check both
+//! content equality and continued-operation equality. The written posting
+//! lists are ascending; a reader accepts any order, which keeps states
+//! written with swap-remove-ordered lists loadable.
 
-use hta_core::state::{decode, encode, StateDecodeError};
+use hta_core::state::{decode, encode, StateDecodeError, StateSerialize};
 use hta_core::KeywordVec;
 use hta_index::InvertedIndex;
 use proptest::prelude::*;
@@ -16,18 +17,16 @@ fn kw(nbits: usize, bits: &[usize]) -> KeywordVec {
     KeywordVec::from_indices(nbits, bits)
 }
 
-/// Exact structural view: posting lists *in order* (not sorted — order is
-/// part of the state), the open set, and every open task's keywords.
-fn exact_view(index: &InvertedIndex) -> (Vec<Vec<u32>>, Vec<u32>, Vec<Vec<u32>>) {
+/// Exact view: the open set, every open task's keywords, and the state
+/// bytes the index writes.
+fn exact_view(index: &InvertedIndex) -> (Vec<u32>, Vec<Vec<u32>>, Vec<u8>) {
     (
-        (0..index.nbits() as u32)
-            .map(|b| index.postings(b).to_vec())
-            .collect(),
         index.open_tasks().collect(),
         index
             .open_tasks()
             .map(|t| index.keywords_of(t).collect())
             .collect(),
+        encode(index),
     )
 }
 
@@ -48,7 +47,7 @@ fn built_round_trip_preserves_exact_state() {
         .map(|(i, v)| (i as u32, v))
         .collect();
     let mut idx = InvertedIndex::build(nbits, &pairs);
-    // Give it a swap-remove history so list order is non-trivial.
+    // Give it a remove/re-insert history.
     for t in [3u32, 40, 12, 77, 5] {
         assert!(idx.remove(t));
     }
@@ -74,10 +73,9 @@ fn built_round_trip_preserves_exact_state() {
 #[test]
 fn decoded_index_answers_dense_queries_bit_identically() {
     // 9,000 tasks all carrying keyword 0: each worker below holds keyword
-    // 0 plus others, so its candidate postings reach both the task-id
-    // space and the dense-rescore cutoff (8,192), and `top_k` takes the
-    // packed-mirror body. The mirror is not serialized; a decode that
-    // failed to rebuild it would score nothing here.
+    // 0 plus others, so its query touches every open task. The classes
+    // are not serialized; a decode that failed to rebuild them would
+    // score nothing here.
     let nbits = 70;
     let vecs: Vec<KeywordVec> = (0..9_000)
         .map(|i| kw(nbits, &[0, 1 + i % (nbits - 1), 1 + (i * 7) % (nbits - 1)]))
@@ -94,9 +92,9 @@ fn decoded_index_answers_dense_queries_bit_identically() {
     idx.widen(nbits + 3);
     let back: InvertedIndex = decode(&encode(&idx)).expect("round trip");
     for bits in [&[0usize, 40][..], &[0, 5, 33], &[0, 1, 2, 3, 4, 69, 72]] {
-        let candidates: usize = bits.iter().map(|&b| idx.df(b as u32)).sum();
-        assert!(candidates >= 9_000, "{bits:?} must take the dense body");
         let worker = kw(nbits + 3, bits);
+        let reached = idx.top_k(&worker, usize::MAX).len();
+        assert_eq!(reached, idx.len(), "{bits:?} must reach every open task");
         let want = idx.top_k(&worker, 50);
         assert_eq!(want.len(), 50, "the live index scores the query");
         let got = back.top_k(&worker, 50);
@@ -123,17 +121,59 @@ fn flat_round_trip_preserves_exact_state() {
     }
     let mut back: InvertedIndex = decode(&encode(&idx)).expect("round trip");
     assert_eq!(back.len(), idx.len());
-    for b in 0..nbits as u32 {
-        assert_eq!(back.postings(b), idx.postings(b), "keyword {b}");
-    }
-    // Restored back-references still support removal.
+    assert_eq!(exact_view(&back), exact_view(&idx));
+    // Restored classes still support removal.
     let mut live = idx.clone();
     for t in [30u32, 44, 0] {
         assert_eq!(live.remove(t), back.remove(t));
     }
-    for b in 0..nbits as u32 {
-        assert_eq!(back.postings(b), live.postings(b), "keyword {b}");
-    }
+    assert_eq!(exact_view(&back), exact_view(&live));
+    let worker = kw(nbits, &[2, 7, 12]);
+    assert_eq!(back.top_k(&worker, 50), live.top_k(&worker, 50));
+}
+
+/// Encode the state layout field by field, posting lists as given.
+fn raw_state(nbits: usize, doc_len: &[u32], postings: &[Vec<u32>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    nbits.write_state(&mut out);
+    doc_len
+        .iter()
+        .filter(|&&l| l != u32::MAX)
+        .count()
+        .write_state(&mut out);
+    doc_len.to_vec().write_state(&mut out);
+    postings.to_vec().write_state(&mut out);
+    out
+}
+
+#[test]
+fn unordered_posting_lists_decode_to_the_same_index() {
+    // Lists in swap-remove order, as an index that kept per-task postings
+    // wrote them: the decode must not depend on list order.
+    let nbits = 6;
+    let doc_len = [2, u32::MAX, 1, 2, 2];
+    let postings = vec![vec![4, 0, 3], vec![0], vec![], vec![3, 2], vec![4], vec![]];
+    let back: InvertedIndex =
+        decode(&raw_state(nbits, &doc_len, &postings)).expect("unordered lists decode");
+    let mut want = InvertedIndex::new(nbits);
+    want.insert(0, &kw(nbits, &[0, 1]));
+    want.insert(2, &kw(nbits, &[3]));
+    want.insert(3, &kw(nbits, &[0, 3]));
+    want.insert(4, &kw(nbits, &[0, 4]));
+    assert_eq!(exact_view(&back), exact_view(&want));
+    // The re-written lists are ascending: the state is canonical.
+    let mut sorted = postings.clone();
+    sorted.iter_mut().for_each(|l| l.sort_unstable());
+    assert_eq!(encode(&back), raw_state(nbits, &doc_len, &sorted));
+}
+
+#[test]
+fn a_task_listed_twice_under_one_keyword_is_rejected() {
+    // Task 0 claims two memberships, as doc_len says, but both under
+    // keyword 1: its keyword set would not be a set.
+    let bytes = raw_state(3, &[2], &[vec![], vec![0, 0], vec![]]);
+    let err = decode::<InvertedIndex>(&bytes).unwrap_err();
+    assert!(matches!(err, StateDecodeError::Invalid(_)), "{err}");
 }
 
 #[test]
