@@ -3,15 +3,19 @@
 //! parallel-pipeline thread sweep and the per-iteration edge-reuse path.
 //!
 //! Besides the criterion output, the run emits `BENCH_solvers.json` at the
-//! repo root: per-phase wall-clock (`edge_enum` / `matching` / `lsap` /
-//! `total`) for every (|T|, threads) point so the perf trajectory stays
-//! machine-readable across PRs.
+//! repo root: a `machine` block (cores, SIMD mode, commit, measured scoped
+//! spawn + join cost), per-phase wall-clock (`edge_enum` / `matching` /
+//! `lsap` / `total`) for every (|T|, threads) point, and one 1-vs-2-thread
+//! pair per threaded body at a size its callers pass (`bodies`), so the perf
+//! trajectory — and the evidence for every threaded body kept — stays
+//! machine-readable across changes.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use hta_bench::{build_instance, build_pools};
+use hta_core::metric::Distance;
 use hta_core::prelude::*;
 use hta_core::solver::{
     solve_open_subset, solve_open_subset_sparse_warm, solve_open_subset_warm, SparseWarmState,
@@ -455,6 +459,204 @@ fn best_of<R>(runs: usize, mut f: impl FnMut() -> (R, Duration)) -> (R, Duration
     best
 }
 
+/// The machine the rows were measured on: cores, SIMD backend, commit
+/// (`-dirty` when the tree had uncommitted changes) and the mean wall-clock
+/// of spawning and joining one scoped thread (the cost `hta_par::GRAIN` is
+/// set against).
+fn machine_json() -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let reps = 2_000u32;
+    let start = std::time::Instant::now();
+    for i in 0..reps {
+        std::thread::scope(|s| {
+            s.spawn(move || black_box(i));
+        });
+    }
+    let spawn_us = start.elapsed().as_secs_f64() * 1e6 / reps as f64;
+    format!(
+        "{{\"nproc\": {nproc}, \"simd\": \"{}\", \"commit\": \"{commit}\", \
+         \"spawn_join_us\": {spawn_us:.1}, \"grain\": {}}}",
+        hta_core::kernels::mode_name(),
+        hta_par::GRAIN
+    )
+}
+
+/// A custom distance with a (near-)distinct weight for every pair of
+/// distinct tasks (each task's first keyword is its code), so a dense edge
+/// build past the placement's bucket cap takes the comparison-sort
+/// fallback.
+struct PairCode;
+
+impl Distance for PairCode {
+    fn dist(&self, a: &KeywordVec, b: &KeywordVec) -> f64 {
+        let code = |k: &KeywordVec| k.iter_ones().next().unwrap_or(0);
+        let (x, y) = (code(a), code(b));
+        if x == y {
+            return 0.0;
+        }
+        // A bijective mix of the code pair, so weights are distinct and in
+        // no particular order along the scan.
+        let mut z = (x.min(y) as u64) << 32 | x.max(y) as u64;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        1.0 + (z ^ (z >> 31)) as f64 / u64::MAX as f64
+    }
+
+    fn name(&self) -> &'static str {
+        "pair-code"
+    }
+
+    fn is_metric(&self) -> bool {
+        false
+    }
+}
+
+/// One threaded body timed at 1 and 2 threads (best of `runs`), at a size
+/// one of its callers passes.
+struct BodySample {
+    body: &'static str,
+    caller: &'static str,
+    size: String,
+    threads: usize,
+    secs: f64,
+}
+
+fn time_body(
+    out: &mut Vec<BodySample>,
+    body: &'static str,
+    caller: &'static str,
+    size: String,
+    mut f: impl FnMut(usize),
+) {
+    for threads in [1usize, 2] {
+        let ((), wall) = best_of(3, || {
+            let start = std::time::Instant::now();
+            f(threads);
+            ((), start.elapsed())
+        });
+        println!(
+            "body {body} ({size}) t{threads}: {:.6} s",
+            wall.as_secs_f64()
+        );
+        out.push(BodySample {
+            body,
+            caller,
+            size: size.clone(),
+            threads,
+            secs: wall.as_secs_f64(),
+        });
+    }
+}
+
+/// Every threaded body left behind `hta_par`, at 1 and 2 threads, at a
+/// size one of its callers passes.
+fn body_samples() -> Vec<BodySample> {
+    use hta_datagen::crowdflower::{CrowdflowerCatalog, CrowdflowerConfig};
+    use hta_matching::lsap::greedy as lsap_greedy;
+    use hta_matching::{ClassedCosts, DenseMatrix};
+
+    let mut out = Vec::new();
+    // The dense edge cache of the 4k CrowdFlower catalog (22 keyword
+    // kinds): the placement's two scan passes, as sim-dense builds it.
+    let catalog = CrowdflowerCatalog::generate(&CrowdflowerConfig {
+        n_tasks: 4_000,
+        seed: 1,
+        ..CrowdflowerConfig::default()
+    });
+    let tasks: Vec<Task> = catalog.tasks.iter().map(|m| m.task.clone()).collect();
+    time_body(
+        &mut out,
+        "edge placement (packed Jaccard)",
+        "DiversityEdgeCache::build, platform dense cache",
+        "crowdflower 4000 tasks".into(),
+        |t| {
+            black_box(DiversityEdgeCache::build(&tasks, &Jaccard, t).edges().len());
+        },
+    );
+    // All-distinct weights: the enumeration plus `sort_unstable_by_parallel`
+    // fallback, as a custom distance under the dense cap builds it.
+    let (coded, _) = build_pools(2_000, 200, 1, 0x54);
+    let coded: Vec<Task> = coded
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut t)| {
+            t.keywords = KeywordVec::from_indices(2_048, &[i]);
+            t
+        })
+        .collect();
+    time_body(
+        &mut out,
+        "edge enumeration + sort_unstable_by_parallel (all-distinct fallback)",
+        "DiversityEdgeCache::build with a custom Distance",
+        "2000 tasks, 1999000 distinct weights".into(),
+        |t| {
+            black_box(
+                DiversityEdgeCache::build(&coded, &PairCode, t)
+                    .edges()
+                    .len(),
+            );
+        },
+    );
+    // Dense profit fill and the dense greedy LSAP: HTA-GRE's paper path
+    // (Fig. 2a sweeps 1k-3k tasks at laptop scale).
+    let profit = |r: usize, c: usize| ((r * 7 + c * 13) % 101) as f64 / 7.0 + (c % 10) as f64;
+    time_body(
+        &mut out,
+        "DenseMatrix::from_fn_parallel",
+        "hta-gre / hta-app dense profit matrix (fig2a)",
+        "2000 x 2000".into(),
+        |t| {
+            black_box(DenseMatrix::from_fn_parallel(2_000, t, profit).get(1, 1));
+        },
+    );
+    let dense = DenseMatrix::from_fn(1_000, profit);
+    time_body(
+        &mut out,
+        "lsap::greedy::solve_with_threads (dense)",
+        "hta-gre dense LSAP (fig2a)",
+        "1000 x 1000".into(),
+        |t| {
+            black_box(lsap_greedy::solve_with_threads(&dense, t).value);
+        },
+    );
+    // The classed greedy LSAP at the paper-scale
+    // ablation (8,000 tasks, 200 workers).
+    let classes: Vec<u32> = (0..8_000).map(|l| (l / 20).min(200) as u32).collect();
+    let classed = ClassedCosts::new(8_000, 201, classes, profit);
+    time_body(
+        &mut out,
+        "lsap::greedy::solve_with_threads (classed)",
+        "hta-gre structured (ablations, paper scale)",
+        "8000 x 201 classes".into(),
+        |t| {
+            black_box(lsap_greedy::solve_with_threads(&classed, t).value);
+        },
+    );
+    // Pool instances past the auto-cache cap build the dense diversity
+    // cache on the solver threads.
+    let (pool_tasks, pool_workers) = build_pools(4_200, 420, 20, 0x55);
+    time_body(
+        &mut out,
+        "Instance::build_diversity_cache_parallel",
+        "CandidatePool::build_instance past 4096 tasks",
+        "4200 tasks".into(),
+        |t| {
+            let mut inst = Instance::new(pool_tasks.clone(), pool_workers.clone(), 10).unwrap();
+            inst.build_diversity_cache_parallel(t);
+            black_box(inst.has_diversity_cache());
+        },
+    );
+    out
+}
+
 /// Re-measure every sweep point once more, capturing the [`PhaseTimings`]
 /// breakdown (criterion's loop only sees totals), and write the lot to
 /// `BENCH_solvers.json` at the repo root.
@@ -649,7 +851,11 @@ fn emit_phase_json() {
         }
     }
 
-    let mut json = String::from("{\n  \"group\": \"solvers/parallel\",\n  \"samples\": [\n");
+    let bodies = body_samples();
+    let mut json = format!(
+        "{{\n  \"group\": \"solvers/parallel\",\n  \"machine\": {},\n  \"samples\": [\n",
+        machine_json()
+    );
     for (i, s) in samples.iter().enumerate() {
         let churn = s
             .churn_pct
@@ -671,6 +877,19 @@ fn emit_phase_json() {
             s.lsap.as_secs_f64(),
             s.total.as_secs_f64(),
             if i + 1 < samples.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"bodies\": [\n");
+    for (i, b) in bodies.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"body\": \"{}\", \"caller\": \"{}\", \"size\": \"{}\", \"threads\": {}, \
+             \"secs\": {:.6}}}{}\n",
+            b.body,
+            b.caller,
+            b.size,
+            b.threads,
+            b.secs,
+            if i + 1 < bodies.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -33,8 +33,10 @@ COMMANDS:
              --candidates full|topk:K (full)  — topk solves over an
                inverted-index candidate pool instead of every task
              --solver-threads N (0 = auto: HTA_SOLVER_THREADS, then
-               hardware)  — pipeline threads; output is byte-identical
-               at any value
+               hardware)  — cap on pipeline threads: a stage runs on
+               fewer when its work is too small to pay for a thread
+               (inline below the grain); output is byte-identical at
+               any value
              --seed S (0)      --out FILE (optional assignment CSV)
   analyze    Structural analysis of a task+worker instance (degeneracy,
              diversity/relevance distributions, solver recommendation)
@@ -42,7 +44,7 @@ COMMANDS:
   simulate   Run the online crowdsourcing simulation (Figure 5 style)
              --sessions N (8)  --catalog M (2000)  --seed S (0x5E59)
              --candidates full|topk:K (full)
-             --solver-threads N (0 = auto)
+             --solver-threads N (0 = auto)  — thread cap, as for solve
              --warm-start on|off (off)  — repair the previous cohort's
                matching instead of rebuilding it; metrics are
                byte-identical either way (it survives checkpoint/resume)

@@ -1,7 +1,8 @@
 //! Reusable, pre-sorted diversity edge lists.
 //!
 //! Enumerating and sorting the positive-weight diversity pairs is the
-//! `O(|T|² log |T|)` prefix of every QAP-pipeline solve. In the iterative
+//! `O(|T|²)` prefix of every QAP-pipeline solve (the sort is a linear-time
+//! placement by weight, [`sorted_positive_edges`]). In the iterative
 //! setting (engine iterations, the crowd platform's assign loop) the task
 //! catalog is fixed and only the *open* subset shrinks, so the pairwise
 //! diversities never change — the full sorted edge list can be computed once
@@ -15,6 +16,9 @@
 //! what enumerating and sorting the sub-instance from scratch would produce
 //! — byte-identical, which keeps solver output independent of whether the
 //! cache is used.
+
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 use hta_matching::{edge_order, WeightedEdge};
 
@@ -57,8 +61,11 @@ where
 }
 
 /// Default largest catalog for which callers cache the full sorted
-/// diversity edge list (a dense 4096-task catalog tops out around 8M edges
-/// ≈ 200 MB; paper-scale 10k catalogs would triple that).
+/// diversity edge list. A dense 4096-task catalog holds at most 8.4M edges
+/// of 16 bytes; the 4k CrowdFlower catalog's 7.6M edges are 122 MB, and
+/// building them peaks at 123 MB RSS for the whole process (the placement
+/// keeps no second buffer). Paper-scale 10k catalogs would hold six times
+/// as many.
 pub const DEFAULT_EDGE_CACHE_TASKS: usize = 4096;
 
 /// Resolve the edge-cache catalog cap: an explicit request wins, otherwise
@@ -93,114 +100,300 @@ pub(crate) fn initial_edge_reserve(pairs: usize) -> usize {
     pairs.min(MAX_EDGE_RESERVE)
 }
 
-/// Enumerate the positive-weight edges `(u, v, weight(u, v))` for
-/// `u < v < n`, in row-major order, with rows split into `threads`
-/// contiguous ranges balanced by pair count (row `u` contributes
-/// `n − 1 − u` pairs). Chunks are concatenated in range order, so the
-/// result is byte-identical to the sequential double loop at any thread
-/// count.
-pub(crate) fn enumerate_positive_edges(
-    n: usize,
-    threads: usize,
-    weight: impl Fn(usize, usize) -> f64 + Sync,
-) -> Vec<WeightedEdge> {
-    let total_pairs = n.saturating_sub(1) * n / 2;
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < 2 {
-        let mut edges = Vec::with_capacity(initial_edge_reserve(total_pairs));
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let w = weight(u, v);
-                if w > 0.0 {
-                    edges.push(WeightedEdge::new(u as u32, v as u32, w));
+/// A catalog's positive-weight pairs `(u, v)`, `u < v < n`, scanned row by
+/// row: each row's edges come out in ascending `v`, so scanning rows in
+/// order yields ascending `(u, v)` — [`edge_order`]'s tie-break.
+pub(crate) trait PairScan: Sync {
+    /// Number of tasks.
+    fn n(&self) -> usize;
+
+    /// Emit the positive-weight edges of `rows` in ascending `(u, v)`,
+    /// stopping early once `emit` returns `false`.
+    fn scan(&self, rows: Range<usize>, emit: impl FnMut(WeightedEdge) -> bool);
+}
+
+/// Pair weights from a closure `weight(u, v)` over `n` tasks.
+pub(crate) struct ByClosure<F> {
+    pub n: usize,
+    pub weight: F,
+}
+
+impl<F: Fn(usize, usize) -> f64 + Sync> PairScan for ByClosure<F> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn scan(&self, rows: Range<usize>, mut emit: impl FnMut(WeightedEdge) -> bool) {
+        for u in rows {
+            for v in (u + 1)..self.n {
+                let w = (self.weight)(u, v);
+                if w > 0.0 && !emit(WeightedEdge::new(u as u32, v as u32, w)) {
+                    return;
                 }
             }
         }
-        return edges;
     }
-    // Balanced contiguous row ranges: cut whenever the running pair count
-    // passes the per-thread target.
-    let target = total_pairs.div_ceil(threads);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for u in 0..n {
-        acc += n - 1 - u;
-        if acc >= target {
-            ranges.push((start, u + 1));
-            start = u + 1;
-            acc = 0;
-        }
+}
+
+/// Pair weights of a [`kernels::PackedCatalog`]: each row's distances come
+/// from one batched [`kernels::pairwise_distance_block`] call instead of
+/// per-pair `Distance::dist` invocations. Distances are bit-identical
+/// (exact integer popcounts before the shared f64 division), so the scan
+/// is byte-identical to a [`ByClosure`] scan under Jaccard.
+impl PairScan for kernels::PackedCatalog {
+    fn n(&self) -> usize {
+        self.len()
     }
-    if start < n {
-        ranges.push((start, n));
-    }
-    let chunks = hta_par::map_items(&ranges, ranges.len(), |_, &(lo, hi)| {
-        let pairs: usize = (lo..hi).map(|u| n - 1 - u).sum();
-        let mut edges = Vec::with_capacity(initial_edge_reserve(pairs));
-        for u in lo..hi {
-            for v in (u + 1)..n {
-                let w = weight(u, v);
-                if w > 0.0 {
-                    edges.push(WeightedEdge::new(u as u32, v as u32, w));
+
+    fn scan(&self, rows: Range<usize>, mut emit: impl FnMut(WeightedEdge) -> bool) {
+        let n = self.len();
+        // One scratch row reused across the range (longest row first).
+        let mut row = vec![0.0f64; n.saturating_sub(rows.start + 1)];
+        for u in rows {
+            let row = &mut row[..n - 1 - u];
+            kernels::pairwise_distance_block(self, u, row);
+            for (off, &w) in row.iter().enumerate() {
+                if w > 0.0 && !emit(WeightedEdge::new(u as u32, (u + 1 + off) as u32, w)) {
+                    return;
                 }
             }
         }
+    }
+}
+
+/// Contiguous row ranges balanced by pair count (row `u` holds `n − 1 − u`
+/// pairs), one per thread worth running under `hta_par`'s grain rule.
+fn pair_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+    hta_par::row_ranges(n, threads, |u| n - 1 - u)
+}
+
+/// Every positive-weight edge of `pairs` in ascending `(u, v)` order, with
+/// rows split over up to `threads` threads and the chunks concatenated in
+/// range order — byte-identical to one sequential scan at any thread count.
+pub(crate) fn enumerate_positive_edges(pairs: &impl PairScan, threads: usize) -> Vec<WeightedEdge> {
+    let n = pairs.n();
+    let mut chunks = hta_par::run_parts(pair_ranges(n, threads), |rows| {
+        let count: usize = rows.clone().map(|u| n - 1 - u).sum();
+        let mut edges = Vec::with_capacity(initial_edge_reserve(count));
+        pairs.scan(rows, |e| {
+            edges.push(e);
+            true
+        });
         edges
     });
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
     chunks.into_iter().flatten().collect()
 }
 
-/// [`enumerate_positive_edges`] over a [`PackedCatalog`]: the same
-/// row-major `u < v` order and the same balanced contiguous row ranges,
-/// but each row's distances come from one batched
-/// [`kernels::pairwise_distance_block`] call instead of per-pair
-/// `Distance::dist` invocations. Distances are bit-identical (exact
-/// integer popcounts before the shared f64 division), so the edge list is
-/// byte-identical to the closure-based enumeration under Jaccard.
-pub(crate) fn enumerate_positive_edges_packed(
-    cat: &kernels::PackedCatalog,
-    threads: usize,
-) -> Vec<WeightedEdge> {
-    let n = cat.len();
-    let total_pairs = n.saturating_sub(1) * n / 2;
-    let threads = threads.clamp(1, n.max(1));
-    let row_range = |lo: usize, hi: usize| {
-        let pairs: usize = (lo..hi).map(|u| n - 1 - u).sum();
-        let mut edges = Vec::with_capacity(initial_edge_reserve(pairs));
-        // One scratch row reused across the range (longest row first).
-        let mut row = vec![0.0f64; n.saturating_sub(lo + 1)];
-        for u in lo..hi {
-            let row = &mut row[..n - 1 - u];
-            kernels::pairwise_distance_block(cat, u, row);
-            for (off, &w) in row.iter().enumerate() {
-                if w > 0.0 {
-                    edges.push(WeightedEdge::new(u as u32, (u + 1 + off) as u32, w));
+/// Most distinct weights [`sorted_positive_edges`] places by bucket; past
+/// it (a custom [`Distance`] with near-continuous weights) the build falls
+/// back to enumerate + comparison sort.
+const MAX_WEIGHT_BUCKETS: usize = 1 << 14;
+
+/// An open-addressed map from a positive weight's bits to a `usize`,
+/// growing by doubling up to [`MAX_WEIGHT_BUCKETS`] keys. Key `0` (the bits
+/// of `+0.0`, never a positive weight) marks an empty slot.
+struct WeightTable {
+    keys: Vec<u64>,
+    vals: Vec<usize>,
+    len: usize,
+    /// The last key looked up and its slot: weights repeat in runs.
+    last: (u64, usize),
+}
+
+impl WeightTable {
+    fn new() -> Self {
+        Self {
+            keys: vec![0; 16],
+            vals: vec![0; 16],
+            len: 0,
+            last: (0, 0),
+        }
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let bits = self.keys.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    #[inline]
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut i = self.home(key);
+        while self.keys[i] != key && self.keys[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The value slot of `key`, inserted at `0` if absent; `None` once the
+    /// table would exceed [`MAX_WEIGHT_BUCKETS`] keys.
+    #[inline]
+    fn entry(&mut self, key: u64) -> Option<&mut usize> {
+        if self.last.0 != key {
+            let mut i = self.slot(key);
+            if self.keys[i] == 0 {
+                if self.len == MAX_WEIGHT_BUCKETS {
+                    return None;
                 }
+                if 2 * (self.len + 1) > self.keys.len() {
+                    self.grow();
+                    i = self.slot(key);
+                }
+                self.keys[i] = key;
+                self.len += 1;
+            }
+            self.last = (key, i);
+        }
+        Some(&mut self.vals[self.last.1])
+    }
+
+    /// The value of `key`, `0` when absent.
+    #[inline]
+    fn get(&self, key: u64) -> usize {
+        let i = self.slot(key);
+        if self.keys[i] == key {
+            self.vals[i]
+        } else {
+            0
+        }
+    }
+
+    fn grow(&mut self) {
+        let size = 2 * self.keys.len();
+        let grown = Self {
+            keys: vec![0; size],
+            vals: vec![0; size],
+            len: self.len,
+            last: (0, 0),
+        };
+        let old = std::mem::replace(self, grown);
+        for (&k, &v) in old.keys.iter().zip(&old.vals) {
+            if k != 0 {
+                let i = self.slot(k);
+                self.keys[i] = k;
+                self.vals[i] = v;
             }
         }
-        edges
-    };
-    if threads == 1 || n < 2 {
-        return row_range(0, n);
     }
-    let target = total_pairs.div_ceil(threads);
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for u in 0..n {
-        acc += n - 1 - u;
-        if acc >= target {
-            ranges.push((start, u + 1));
-            start = u + 1;
-            acc = 0;
+
+    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.keys
+            .iter()
+            .zip(&self.vals)
+            .filter(|(&k, _)| k != 0)
+            .map(|(&k, &v)| (k, v))
+    }
+}
+
+/// Every positive-weight edge of `pairs`, sorted by [`edge_order`] in time
+/// linear in the pair count.
+///
+/// A scan already yields ascending `(u, v)`, which is `edge_order`'s
+/// tie-break, so a *stable* placement by weight alone gives exactly
+/// `edge_order`: count the edges of each distinct weight (first pass), order
+/// the distinct weights descending, then scan again and write each edge to
+/// the next slot of its weight's bucket (second pass). Both passes split
+/// rows over up to `threads` threads; each range writes its own contiguous
+/// run inside every bucket, so the output is byte-identical at any thread
+/// count and the only full-size buffer is the exactly-sized result. Past
+/// [`MAX_WEIGHT_BUCKETS`] distinct weights in any range the first pass
+/// stops early and the edges are enumerated and comparison-sorted instead.
+pub(crate) fn sorted_positive_edges(pairs: &impl PairScan, threads: usize) -> Vec<WeightedEdge> {
+    let ranges = pair_ranges(pairs.n(), threads);
+    let histograms: Option<Vec<WeightTable>> = hta_par::run_parts(ranges.clone(), |rows| {
+        let mut counts = WeightTable::new();
+        let mut fits = true;
+        pairs.scan(rows, |e| match counts.entry(e.weight.to_bits()) {
+            Some(c) => {
+                *c += 1;
+                true
+            }
+            None => {
+                fits = false;
+                false
+            }
+        });
+        fits.then_some(counts)
+    })
+    .into_iter()
+    .collect();
+    // Buckets: the distinct weights, descending.
+    let buckets = histograms
+        .map(|histograms| {
+            let mut weights: Vec<u64> = histograms
+                .iter()
+                .flat_map(|h| h.iter().map(|(w, _)| w))
+                .collect();
+            weights.sort_unstable_by(|a, b| f64::from_bits(*b).total_cmp(&f64::from_bits(*a)));
+            weights.dedup();
+            (histograms, weights)
+        })
+        .filter(|(_, weights)| weights.len() <= MAX_WEIGHT_BUCKETS);
+    let Some((histograms, weights)) = buckets else {
+        let mut edges = enumerate_positive_edges(pairs, threads);
+        hta_par::sort_unstable_by_parallel(&mut edges, threads, edge_order);
+        return edges;
+    };
+    let mut bucket_of = WeightTable::new();
+    for (b, &w) in weights.iter().enumerate() {
+        *bucket_of
+            .entry(w)
+            .expect("at most MAX_WEIGHT_BUCKETS weights") = b;
+    }
+
+    // Carve the result bucket by bucket, and within a bucket range by
+    // range, so each range gets one contiguous run per bucket.
+    let total: usize = histograms
+        .iter()
+        .flat_map(|h| h.iter().map(|(_, c)| c))
+        .sum();
+    // The slots are written once each by the second pass, so they start
+    // uninitialized: zero-filling 122 MB first cost a third of the 4k
+    // CrowdFlower build.
+    let mut out: Vec<WeightedEdge> = Vec::with_capacity(total);
+    let mut runs: Vec<Vec<&mut [MaybeUninit<WeightedEdge>]>> =
+        ranges.iter().map(|_| Vec::new()).collect();
+    let mut rest = &mut out.spare_capacity_mut()[..total];
+    for &w in &weights {
+        for (h, range_runs) in histograms.iter().zip(runs.iter_mut()) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(h.get(w));
+            range_runs.push(head);
+            rest = tail;
         }
     }
-    if start < n {
-        ranges.push((start, n));
-    }
-    let chunks = hta_par::map_items(&ranges, ranges.len(), |_, &(lo, hi)| row_range(lo, hi));
-    chunks.into_iter().flatten().collect()
+    let filled = hta_par::run_parts(
+        ranges.into_iter().zip(runs).collect(),
+        |(rows, mut runs)| {
+            let mut next = vec![0usize; runs.len()];
+            let mut last = (0u64, 0usize);
+            pairs.scan(rows, |e| {
+                let bits = e.weight.to_bits();
+                if bits != last.0 {
+                    last = (bits, bucket_of.get(bits));
+                }
+                let b = last.1;
+                runs[b][next[b]].write(e);
+                next[b] += 1;
+                true
+            });
+            runs.iter().zip(&next).all(|(run, &n)| run.len() == n)
+        },
+    );
+    assert!(
+        filled.into_iter().all(|f| f),
+        "the placement pass emitted fewer edges than the counting pass"
+    );
+    // SAFETY: the runs partition the first `total` spare slots of `out`,
+    // every write above went through a run (an extra edge would have
+    // panicked on the run's bounds), and the assert checked that each run
+    // was written in full — so all `total` elements are initialized.
+    unsafe { out.set_len(total) };
+    out
 }
 
 /// The sorted positive-weight diversity edge list of a fixed task catalog,
@@ -214,9 +407,9 @@ pub struct DiversityEdgeCache {
 }
 
 impl DiversityEdgeCache {
-    /// Enumerate and [`edge_order`]-sort the positive-diversity pairs of
-    /// `tasks` under `distance`, using `threads` scoped threads for both
-    /// the enumeration and the sort.
+    /// The positive-diversity pairs of `tasks` under `distance`, in
+    /// [`edge_order`], built on up to `threads` threads
+    /// ([`sorted_positive_edges`]).
     pub fn build(tasks: &[Task], distance: &(dyn Distance + Send + Sync), threads: usize) -> Self {
         let keywords: Vec<&KeywordVec> = tasks.iter().map(|t| &t.keywords).collect();
         Self::build_over(&keywords, distance, threads)
@@ -230,14 +423,14 @@ impl DiversityEdgeCache {
         threads: usize,
     ) -> Self {
         let n = keywords.len();
-        let mut edges = if distance.supports_popcount_kernels() && n > 1 {
+        let edges = if distance.supports_popcount_kernels() && n > 1 {
             let cat =
                 kernels::PackedCatalog::from_vecs(keywords[0].nbits(), keywords.iter().copied());
-            enumerate_positive_edges_packed(&cat, threads)
+            sorted_positive_edges(&cat, threads)
         } else {
-            enumerate_positive_edges(n, threads, |u, v| distance.dist(keywords[u], keywords[v]))
+            let weight = |u: usize, v: usize| distance.dist(keywords[u], keywords[v]);
+            sorted_positive_edges(&ByClosure { n, weight }, threads)
         };
-        hta_par::sort_unstable_by_parallel(&mut edges, threads, edge_order);
         let fingerprint = keywords_fingerprint(keywords.iter().copied());
         Self {
             n,
@@ -251,8 +444,8 @@ impl DiversityEdgeCache {
     /// honoured).
     pub fn from_instance(inst: &Instance, threads: usize) -> Self {
         let n = inst.n_tasks();
-        let mut edges = enumerate_positive_edges(n, threads, |u, v| inst.diversity(u, v));
-        hta_par::sort_unstable_by_parallel(&mut edges, threads, edge_order);
+        let weight = |u: usize, v: usize| inst.diversity(u, v);
+        let edges = sorted_positive_edges(&ByClosure { n, weight }, threads);
         let fingerprint = keywords_fingerprint(inst.tasks().iter().map(|t| &t.keywords));
         Self {
             n,
@@ -346,9 +539,9 @@ mod tests {
     fn enumeration_is_thread_invariant() {
         let tasks = catalog(50);
         let weight = |u: usize, v: usize| Jaccard.dist(&tasks[u].keywords, &tasks[v].keywords);
-        let seq = enumerate_positive_edges(50, 1, weight);
+        let seq = enumerate_positive_edges(&ByClosure { n: 50, weight }, 1);
         for threads in [2usize, 3, 7, 16] {
-            let par = enumerate_positive_edges(50, threads, weight);
+            let par = enumerate_positive_edges(&ByClosure { n: 50, weight }, threads);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -357,18 +550,102 @@ mod tests {
     fn packed_enumeration_is_byte_identical_to_closure_enumeration() {
         let tasks = catalog(60);
         let weight = |u: usize, v: usize| Jaccard.dist(&tasks[u].keywords, &tasks[v].keywords);
-        let reference = enumerate_positive_edges(60, 1, weight);
+        let reference = enumerate_positive_edges(&ByClosure { n: 60, weight }, 1);
         let cat = kernels::PackedCatalog::from_vecs(24, tasks.iter().map(|t| &t.keywords));
         for threads in [1usize, 2, 3, 7] {
-            let packed = enumerate_positive_edges_packed(&cat, threads);
+            let packed = enumerate_positive_edges(&cat, threads);
             assert_eq!(packed, reference, "threads={threads}");
         }
         // The cache builder takes the packed fast path for Jaccard; it must
         // sort to the same list as a scalar-closure build.
         let built = DiversityEdgeCache::build(&tasks, &Jaccard, 2);
         let mut sorted = reference;
-        hta_par::sort_unstable_by_parallel(&mut sorted, 1, edge_order);
+        sorted.sort_unstable_by(edge_order);
         assert_eq!(built.edges(), sorted);
+    }
+
+    /// Above the grain, both scans really split rows over threads, and the
+    /// placement and the enumeration stay byte-identical at 1, 2 and 7.
+    #[test]
+    fn above_grain_scans_are_thread_invariant() {
+        let n = 1_100;
+        assert!(n * (n - 1) / 2 >= 2 * hta_par::GRAIN);
+        assert!(pair_ranges(n, 7).len() >= 2);
+        let tasks = catalog(n);
+        let cat = kernels::PackedCatalog::from_vecs(24, tasks.iter().map(|t| &t.keywords));
+        let mut expect = enumerate_positive_edges(&cat, 1);
+        for threads in [2usize, 7] {
+            assert_eq!(
+                enumerate_positive_edges(&cat, threads),
+                expect,
+                "threads={threads}"
+            );
+        }
+        expect.sort_unstable_by(edge_order);
+        for threads in [1usize, 2, 7] {
+            assert_eq!(
+                sorted_positive_edges(&cat, threads),
+                expect,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn placement_falls_back_past_the_bucket_cap_and_stays_exact() {
+        // Every weight distinct: more buckets than the cap, so the first
+        // pass stops early and the edges are comparison-sorted.
+        let n = 200;
+        assert!(n * (n - 1) / 2 > MAX_WEIGHT_BUCKETS);
+        let weight = |u: usize, v: usize| 1.0 + ((u * 7919 + v * 104_729) % 1_000_003) as f64;
+        let mut expect = enumerate_positive_edges(&ByClosure { n, weight }, 1);
+        expect.sort_unstable_by(edge_order);
+        for threads in [1usize, 2, 7] {
+            let got = sorted_positive_edges(&ByClosure { n, weight }, threads);
+            assert_eq!(got, expect, "threads={threads}");
+        }
+    }
+
+    /// A scan whose second pass emits fewer edges than its first leaves
+    /// slots unwritten; the build must panic instead of returning them.
+    #[test]
+    #[should_panic(expected = "fewer edges than the counting pass")]
+    fn placement_rejects_a_scan_that_changes_between_passes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let calls = AtomicUsize::new(0);
+        let weight = |u: usize, v: usize| {
+            let pass = calls.fetch_add(1, Ordering::SeqCst) / 45;
+            if pass > 0 && (u, v) == (0, 1) {
+                0.0
+            } else {
+                1.0 + (u % 2) as f64
+            }
+        };
+        sorted_positive_edges(&ByClosure { n: 10, weight }, 1);
+    }
+
+    #[test]
+    fn weight_table_counts_and_grows() {
+        let mut t = WeightTable::new();
+        for i in 0..1000u64 {
+            for _ in 0..=(i % 3) {
+                *t.entry((1.0 + i as f64).to_bits()).unwrap() += 1;
+            }
+        }
+        assert_eq!(t.iter().count(), 1000);
+        for i in 0..1000u64 {
+            assert_eq!(t.get((1.0 + i as f64).to_bits()), (i % 3 + 1) as usize);
+        }
+        assert_eq!(t.get(0.5f64.to_bits()), 0);
+        let mut full = WeightTable::new();
+        for i in 0..MAX_WEIGHT_BUCKETS {
+            assert!(full.entry((1.0 + i as f64).to_bits()).is_some());
+        }
+        assert!(full.entry(0.25f64.to_bits()).is_none());
+        assert!(
+            full.entry(1.0f64.to_bits()).is_some(),
+            "present keys stay reachable"
+        );
     }
 
     #[test]
@@ -377,7 +654,8 @@ mod tests {
         // positive weight. The reservation must stay at the cap instead of
         // sizing for the dense worst case.
         let n = 600;
-        let edges = enumerate_positive_edges(n, 1, |u, v| if u == 0 && v < 4 { 1.0 } else { 0.0 });
+        let weight = |u: usize, v: usize| if u == 0 && v < 4 { 1.0 } else { 0.0 };
+        let edges = enumerate_positive_edges(&ByClosure { n, weight }, 1);
         assert_eq!(edges.len(), 3);
         assert!(
             edges.capacity() <= MAX_EDGE_RESERVE,
@@ -385,6 +663,9 @@ mod tests {
             edges.capacity()
         );
         assert!(n.saturating_sub(1) * n / 2 > MAX_EDGE_RESERVE);
+        // The placement sizes its result exactly.
+        let sorted = sorted_positive_edges(&ByClosure { n, weight }, 1);
+        assert_eq!(sorted.capacity(), 3);
     }
 
     #[test]

@@ -214,30 +214,7 @@ impl Instance {
     /// are the exact `f64` distances, so building the cache never changes
     /// what [`Self::diversity`] returns.
     pub fn build_diversity_cache(&mut self) {
-        let n = self.tasks.len();
-        let mut cache = vec![0.0f64; n * n];
-        if let Some(cat) = self.packed_catalog() {
-            // Batched upper-triangle fill: row k vs rows k+1..n in one
-            // kernel call (bit-identical to the per-pair distance).
-            for k in 0..n {
-                let (row_k, _) = cache[k * n..].split_at_mut(n);
-                crate::kernels::pairwise_distance_block(&cat, k, &mut row_k[k + 1..]);
-            }
-            for k in 0..n {
-                for l in (k + 1)..n {
-                    cache[l * n + k] = cache[k * n + l];
-                }
-            }
-        } else {
-            for k in 0..n {
-                for l in (k + 1)..n {
-                    let d = self.diversity_uncached(k, l);
-                    cache[k * n + l] = d;
-                    cache[l * n + k] = d;
-                }
-            }
-        }
-        self.cache = Some(cache);
+        self.build_diversity_cache_parallel(1);
     }
 
     /// Pack the task keyword vectors for the batched kernels when the
@@ -255,48 +232,31 @@ impl Instance {
         }
     }
 
-    /// [`Self::build_diversity_cache`] with the upper triangle computed by
-    /// `threads` scoped `std::thread`s over chunked row ranges (the
-    /// dependency policy rules out a thread-pool crate). Row `k` costs
-    /// `n − k` distance evaluations, so rows are dealt round-robin to keep
-    /// the chunks balanced; each thread fills disjoint full rows of the
-    /// upper triangle and the lower triangle is mirrored afterwards.
+    /// [`Self::build_diversity_cache`] with the upper triangle's rows split
+    /// over up to `threads` threads ([`hta_par::fill_rows`], balanced by
+    /// pair count: row `k` holds `n − 1 − k` distances; a catalog under the
+    /// grain fills inline). Each row is filled by one batched kernel call
+    /// (bit-identical to the per-pair distance) or per-pair distances, and
+    /// the lower triangle is mirrored afterwards.
     pub fn build_diversity_cache_parallel(&mut self, threads: usize) {
         let n = self.tasks.len();
-        let threads = threads.clamp(1, n.max(1));
-        if threads == 1 || n < 2 {
-            self.build_diversity_cache();
-            return;
-        }
         let mut cache = vec![0.0f64; n * n];
-        {
-            let packed = self.packed_catalog();
-            let rows: Vec<&mut [f64]> = cache.chunks_mut(n).collect();
-            let this = &*self;
-            // Hand each thread every `threads`-th row (with its slot in the
-            // round-robin deal) so long and short rows mix evenly.
-            let mut per_thread: Vec<Vec<(usize, &mut [f64])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (k, row) in rows.into_iter().enumerate() {
-                per_thread[k % threads].push((k, row));
-            }
-            std::thread::scope(|scope| {
-                for chunk in per_thread {
-                    let packed = &packed;
-                    scope.spawn(move || {
-                        for (k, row) in chunk {
-                            if let Some(cat) = packed {
-                                crate::kernels::pairwise_distance_block(cat, k, &mut row[k + 1..]);
-                            } else {
-                                for (l, slot) in row.iter_mut().enumerate().skip(k + 1) {
-                                    *slot = this.diversity_uncached(k, l);
-                                }
-                            }
-                        }
-                    });
+        let packed = self.packed_catalog();
+        let this = &*self;
+        hta_par::fill_rows(
+            &mut cache,
+            n,
+            threads,
+            |k| n - 1 - k,
+            |k, row| match &packed {
+                Some(cat) => crate::kernels::pairwise_distance_block(cat, k, &mut row[k + 1..]),
+                None => {
+                    for (l, slot) in row.iter_mut().enumerate().skip(k + 1) {
+                        *slot = this.diversity_uncached(k, l);
+                    }
                 }
-            });
-        }
+            },
+        );
         for k in 0..n {
             for l in (k + 1)..n {
                 cache[l * n + k] = cache[k * n + l];
@@ -533,6 +493,39 @@ mod tests {
         for k in 0..37 {
             for l in 0..37 {
                 assert_eq!(seq.diversity(k, l), par.diversity(k, l), "({k},{l})");
+            }
+        }
+    }
+
+    /// Above the grain the rows really split over threads; the cache is
+    /// bit-identical at 1, 2 and 7 threads, packed kernel or per-pair.
+    #[test]
+    fn above_grain_parallel_cache_is_thread_invariant() {
+        let n = 1_100;
+        assert!(hta_par::threads_for(n * (n - 1) / 2, 7) >= 2);
+        let nbits = 24;
+        let tasks: Vec<Task> = (0..n)
+            .map(|i| task(i as u32, nbits, &[i % nbits, (i * 5 + 2) % nbits]))
+            .collect();
+        let workers = vec![worker(0, nbits, &[0, 1])];
+        let distances: [Arc<dyn Distance + Send + Sync>; 2] =
+            [Arc::new(Jaccard), Arc::new(crate::metric::Hamming)];
+        for distance in distances {
+            let build = |threads: usize| {
+                let mut inst = Instance::with_distance(
+                    tasks.clone(),
+                    workers.clone(),
+                    3,
+                    distance.clone(),
+                    false,
+                )
+                .unwrap();
+                inst.build_diversity_cache_parallel(threads);
+                inst.cache
+            };
+            let one = build(1);
+            for threads in [2usize, 7] {
+                assert_eq!(build(threads), one, "threads={threads}");
             }
         }
     }

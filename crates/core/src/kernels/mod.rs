@@ -231,51 +231,6 @@ pub fn jaccard_one_vs_many_with_mode(
     jaccard_many(mode, &padded, qpop, cat, start, out);
 }
 
-/// Fill `out[i]` with `|query ∩ row(start + i)|`. A narrower query is
-/// zero-extended (intersection counts are unaffected by zero bits).
-///
-/// # Panics
-/// Panics if the query universe is wider than the catalog's, or
-/// `start + out.len()` exceeds the catalog.
-pub fn intersection_counts_many(
-    query: &KeywordVec,
-    cat: &PackedCatalog,
-    start: usize,
-    out: &mut [u32],
-) {
-    intersection_counts_many_with_mode(active_mode(), query, cat, start, out);
-}
-
-/// [`intersection_counts_many`] through an explicit backend (see
-/// [`intersection_union_with_mode`] for when to use the `_with_mode`
-/// variants).
-pub fn intersection_counts_many_with_mode(
-    mode: SimdMode,
-    query: &KeywordVec,
-    cat: &PackedCatalog,
-    start: usize,
-    out: &mut [u32],
-) {
-    assert!(
-        query.nbits() <= cat.nbits(),
-        "query universe wider than the catalog's"
-    );
-    assert!(start + out.len() <= cat.len(), "row range out of bounds");
-    if out.is_empty() {
-        return;
-    }
-    let padded = cat.pad_query(query);
-    let stride = cat.stride();
-    let data = cat.rows_from(start, out.len());
-    match mode {
-        #[cfg(target_arch = "x86_64")]
-        SimdMode::Avx2 => unsafe { avx2::inter_many(&padded, data, stride, out) },
-        #[cfg(target_arch = "aarch64")]
-        SimdMode::Neon => unsafe { neon::inter_many(&padded, data, stride, out) },
-        _ => scalar::inter_many(&padded, data, stride, out),
-    }
-}
-
 /// Fill `out[i]` with the Jaccard distance between catalog rows `u` and
 /// `u + 1 + i` — one row of the upper-triangle pairwise enumeration
 /// (`edges.rs` row-chunked edge enumeration, the dense diversity cache).
@@ -422,11 +377,6 @@ mod tests {
         jaccard_one_vs_many(&query, &cat, 0, &mut out);
         for (i, v) in vecs.iter().enumerate() {
             assert_eq!(out[i].to_bits(), Jaccard.dist(&query, v).to_bits(), "{i}");
-        }
-        let mut inters = vec![0u32; vecs.len()];
-        intersection_counts_many(&query, &cat, 0, &mut inters);
-        for (i, v) in vecs.iter().enumerate() {
-            assert_eq!(inters[i] as usize, query.intersection_count(v), "{i}");
         }
     }
 

@@ -18,12 +18,15 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Four stages run on `threads` scoped threads (resolved through
-//! [`hta_par::solver_threads`]; `0` = auto): diversity-edge enumeration
-//! (row-chunked, concatenated in chunk order), the edge sort inside the
-//! greedy matching (per-chunk sorts + a chunk-order-stable merge),
-//! profit-matrix materialization (row chunks), and the LSAP itself when the
-//! strategy supports it (threaded greedy; synchronous-Jacobi auction). Every
+//! Three stages may run on several threads, each sized by `hta_par`'s grain
+//! rule: the thread count (resolved through [`hta_par::solver_threads`];
+//! `0` = auto) is an upper bound, and a stage whose work does not pay for a
+//! spawn runs inline on the caller's thread. The stages are the
+//! diversity-edge placement (two row-chunked passes: count the edges of
+//! each distinct weight, then write each edge into its weight's bucket —
+//! the linear-time equivalent of enumerating and sorting by `edge_order`),
+//! dense profit-matrix materialization (row chunks), and the greedy LSAP
+//! (row-chunked entries, then a tie-free parallel sort). Every
 //! parallel stage is engineered to produce **byte-identical** output at any
 //! thread count — same assignment, same `lsap_value` bits — so the thread
 //! knob is purely a performance setting.
@@ -34,11 +37,10 @@ use rand::{Rng, RngExt};
 
 use hta_matching::lsap::{auction, greedy as lsap_greedy, hungarian, jv, structured};
 use hta_matching::{
-    greedy_matching_presorted, greedy_matching_with_threads, ClassedCosts, CostMatrix, DenseMatrix,
-    Matching, WeightedEdge,
+    greedy_matching_presorted, ClassedCosts, CostMatrix, DenseMatrix, Matching, WeightedEdge,
 };
 
-use crate::edges::{enumerate_positive_edges, DiversityEdgeCache};
+use crate::edges::{sorted_positive_edges, ByClosure, DiversityEdgeCache};
 use crate::instance::Instance;
 use crate::qap::{assignment_from_permutation, worker_of_vertex};
 use crate::solver::sparse_warm::SparseWarmState;
@@ -57,7 +59,7 @@ pub enum LsapStrategy {
     /// ½-approximate greedy matching (HTA-GRE).
     Greedy,
     /// Bertsekas auction with ε-scaling (ablation). Runs the synchronous
-    /// Jacobi variant so results are identical at any thread count.
+    /// Jacobi variant (bids against a frozen price snapshot per round).
     Auction,
     /// Exact transportation solver over column classes (ablation).
     StructuredExact,
@@ -124,11 +126,14 @@ fn solve_via_qap_impl(
             (mb, std::time::Duration::ZERO, t_matching.elapsed())
         }
         None => {
+            // Enumeration and the edge_order sort are one linear-time
+            // placement, so its time is reported as `edge_enum`.
             let t_enum = Instant::now();
-            let edges = enumerate_positive_edges(n_real, threads, |u, v| inst.diversity(u, v));
+            let weight = |u: usize, v: usize| inst.diversity(u, v);
+            let edges = sorted_positive_edges(&ByClosure { n: n_real, weight }, threads);
             let edge_enum_time = t_enum.elapsed();
             let t_matching = Instant::now();
-            let mb = greedy_matching_with_threads(n, &edges, threads);
+            let mb = greedy_matching_presorted(n, &edges);
             (mb, edge_enum_time, t_matching.elapsed())
         }
     };
@@ -336,7 +341,7 @@ fn compute_lsap(
             let classes: Vec<u32> = (0..n)
                 .map(|l| worker_of_vertex(l, xmax, nw).unwrap_or(nw) as u32)
                 .collect();
-            let classed = ClassedCosts::new_parallel(n, nw + 1, classes, threads, profit);
+            let classed = ClassedCosts::new(n, nw + 1, classes, profit);
             run_lsap(&classed, opts.lsap, threads)
         }
     }
@@ -422,9 +427,7 @@ fn run_lsap(
         LsapStrategy::ExactJv => jv::solve(costs),
         LsapStrategy::ExactClassicHungarian => hungarian::solve(costs),
         LsapStrategy::Greedy => lsap_greedy::solve_with_threads(costs, threads),
-        // Jacobi at every thread count (including 1) so the strategy's
-        // output does not depend on the thread knob.
-        LsapStrategy::Auction => auction::solve_jacobi(costs, threads),
+        LsapStrategy::Auction => auction::solve_jacobi(costs),
         LsapStrategy::StructuredExact => structured::solve(costs),
     }
 }
@@ -546,7 +549,14 @@ mod tests {
     fn presorted_edges_match_fresh_enumeration() {
         use hta_matching::edge_order;
         let inst = paper_example();
-        let mut edges = enumerate_positive_edges(inst.n_tasks(), 1, |u, v| inst.diversity(u, v));
+        let weight = |u: usize, v: usize| inst.diversity(u, v);
+        let mut edges = crate::edges::enumerate_positive_edges(
+            &ByClosure {
+                n: inst.n_tasks(),
+                weight,
+            },
+            1,
+        );
         edges.sort_unstable_by(edge_order);
         let o = opts(LsapStrategy::Greedy, CostRepresentation::Classed);
         let fresh = solve_via_qap(&inst, o, &mut StdRng::seed_from_u64(21));

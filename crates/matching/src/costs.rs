@@ -74,33 +74,27 @@ impl DenseMatrix {
         Self { n, data }
     }
 
-    /// [`Self::from_fn`] with rows materialized by `threads` scoped threads
-    /// over contiguous row chunks. Each cell is still `f(row, col)` evaluated
+    /// [`Self::from_fn`] with rows materialized on up to `threads` threads
+    /// over contiguous row chunks ([`hta_par::fill_rows`]; a matrix under
+    /// the grain fills inline). Each cell is still `f(row, col)` evaluated
     /// exactly once, so the result is identical at any thread count.
     pub fn from_fn_parallel(
         n: usize,
         threads: usize,
         f: impl Fn(usize, usize) -> f64 + Sync,
     ) -> Self {
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 {
-            return Self::from_fn(n, f);
-        }
         let mut data = vec![0.0f64; n * n];
-        let rows_per_chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in data.chunks_mut(rows_per_chunk * n).enumerate() {
-                let f = &f;
-                scope.spawn(move || {
-                    let row0 = ci * rows_per_chunk;
-                    for (ri, row) in chunk.chunks_mut(n).enumerate() {
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            *slot = f(row0 + ri, c);
-                        }
-                    }
-                });
-            }
-        });
+        hta_par::fill_rows(
+            &mut data,
+            n,
+            threads,
+            |_| n,
+            |r, row| {
+                for (c, slot) in row.iter_mut().enumerate() {
+                    *slot = f(r, c);
+                }
+            },
+        );
         Self { n, data }
     }
 
@@ -209,56 +203,6 @@ impl ClassedCosts {
         }
     }
 
-    /// [`Self::new`] with the `n × n_classes` profit table materialized by
-    /// `threads` scoped threads over contiguous row chunks. Identical output
-    /// at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `classes.len() != n` or any class id is `>= n_classes`.
-    pub fn new_parallel(
-        n: usize,
-        n_classes: usize,
-        classes: Vec<u32>,
-        threads: usize,
-        profit: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> Self {
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 || n_classes == 0 {
-            return Self::new(n, n_classes, classes, profit);
-        }
-        assert_eq!(classes.len(), n);
-        let mut class_sizes = vec![0u32; n_classes];
-        for &c in &classes {
-            assert!((c as usize) < n_classes, "class id out of range");
-            class_sizes[c as usize] += 1;
-        }
-        let mut class_profit = vec![0.0f64; n * n_classes];
-        let rows_per_chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in class_profit
-                .chunks_mut(rows_per_chunk * n_classes)
-                .enumerate()
-            {
-                let profit = &profit;
-                scope.spawn(move || {
-                    let row0 = ci * rows_per_chunk;
-                    for (ri, row) in chunk.chunks_mut(n_classes).enumerate() {
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            *slot = profit(row0 + ri, c);
-                        }
-                    }
-                });
-            }
-        });
-        Self {
-            n,
-            n_classes,
-            class_profit,
-            classes,
-            class_sizes,
-        }
-    }
-
     /// Number of columns in `class`.
     #[inline]
     pub fn class_size(&self, class: usize) -> usize {
@@ -342,12 +286,22 @@ mod tests {
         for threads in [1usize, 2, 5, 16] {
             assert_eq!(DenseMatrix::from_fn_parallel(37, threads, f), seq);
         }
-        let classes: Vec<u32> = (0..37).map(|i| (i % 4) as u32).collect();
-        let seq = ClassedCosts::new(37, 4, classes.clone(), f);
-        for threads in [1usize, 2, 5, 16] {
-            let par = ClassedCosts::new_parallel(37, 4, classes.clone(), threads, f);
-            assert_eq!(par.class_profit, seq.class_profit, "threads={threads}");
-            assert_eq!(par.class_sizes, seq.class_sizes);
+    }
+
+    /// Above the grain the row fill really splits over threads; it stays
+    /// identical at 1, 2 and 7 threads.
+    #[test]
+    fn above_grain_parallel_constructor_is_thread_invariant() {
+        let f = |r: usize, c: usize| (r * 31 + c * 7) as f64 / 3.0;
+        let n = 800;
+        assert!(hta_par::threads_for(n * n, 7) >= 2);
+        let seq = DenseMatrix::from_fn(n, f);
+        for threads in [1usize, 2, 7] {
+            assert_eq!(
+                DenseMatrix::from_fn_parallel(n, threads, f),
+                seq,
+                "threads={threads}"
+            );
         }
     }
 

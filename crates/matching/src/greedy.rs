@@ -131,9 +131,10 @@ impl Matching {
 
 /// The edge ordering every greedy-matching variant agrees on: decreasing
 /// weight, ties broken by `(u, v)` so results are reproducible. No two
-/// distinct edges compare equal (endpoints are unique per edge), which is
-/// what makes the parallel chunk-sort + merge byte-identical to the
-/// sequential sort.
+/// distinct edges compare equal (endpoints are unique per edge), so the
+/// sorted order is unique: a parallel chunk-sort + merge, or a stable
+/// placement by weight of an edge list already in `(u, v)` order, gives
+/// exactly the sequential sort's result.
 #[inline]
 pub fn edge_order(a: &WeightedEdge, b: &WeightedEdge) -> std::cmp::Ordering {
     b.weight
@@ -151,18 +152,8 @@ pub fn edge_order(a: &WeightedEdge, b: &WeightedEdge) -> std::cmp::Ordering {
 ///
 /// Ties are broken deterministically by `(u, v)` so results are reproducible.
 pub fn greedy_matching(n: usize, edges: &[WeightedEdge]) -> Matching {
-    greedy_matching_with_threads(n, edges, 1)
-}
-
-/// [`greedy_matching`] with the edge sort parallelized over `threads`
-/// scoped threads (per-chunk sorts + a chunk-order-stable k-way merge).
-/// Output is byte-identical to the sequential sort at any thread count
-/// because [`edge_order`] never compares two distinct edges equal.
-pub fn greedy_matching_with_threads(n: usize, edges: &[WeightedEdge], threads: usize) -> Matching {
     let mut order: Vec<u32> = (0..edges.len() as u32).collect();
-    hta_par::sort_unstable_by_parallel(&mut order, threads, |&a, &b| {
-        edge_order(&edges[a as usize], &edges[b as usize])
-    });
+    order.sort_unstable_by(|&a, &b| edge_order(&edges[a as usize], &edges[b as usize]));
     greedy_scan(n, order.iter().map(|&i| edges[i as usize]))
 }
 
@@ -321,18 +312,23 @@ mod tests {
 
     #[test]
     fn parallel_sort_matches_sequential_matching() {
-        // Dense-ish random-weight graph with many ties (weights quantized)
-        // so the (u, v) tie-break is actually exercised across chunks.
+        // Dense random-weight graph with many ties (weights quantized) so
+        // the (u, v) tie-break is exercised across chunks, and above the
+        // grain so `sort_unstable_by_parallel` really splits the sort.
+        let n = 1_100u32;
         let mut edges = Vec::new();
-        for u in 0..40u32 {
-            for v in (u + 1)..40 {
+        for u in 0..n {
+            for v in (u + 1)..n {
                 let w = ((u * 7 + v * 13) % 5) as f64 / 4.0;
                 edges.push(WeightedEdge::new(u, v, w));
             }
         }
-        let seq = greedy_matching(40, &edges);
-        for threads in [2usize, 3, 7, 16] {
-            let par = greedy_matching_with_threads(40, &edges, threads);
+        assert!(hta_par::threads_for(edges.len(), 7) >= 2);
+        let seq = greedy_matching(n as usize, &edges);
+        for threads in [1usize, 2, 7] {
+            let mut sorted = edges.clone();
+            hta_par::sort_unstable_by_parallel(&mut sorted, threads, edge_order);
+            let par = greedy_matching_presorted(n as usize, &sorted);
             assert_eq!(par.edges(), seq.edges(), "threads={threads}");
         }
     }

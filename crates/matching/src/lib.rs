@@ -53,9 +53,6 @@ pub mod lsap;
 
 pub use costs::{ClassedCosts, CostMatrix, DenseMatrix};
 pub use dynamic::DynamicMatching;
-pub use greedy::{
-    edge_order, greedy_matching, greedy_matching_presorted, greedy_matching_with_threads, Matching,
-    WeightedEdge,
-};
+pub use greedy::{edge_order, greedy_matching, greedy_matching_presorted, Matching, WeightedEdge};
 pub use incremental::{IncrementalMatching, UpdateStats};
 pub use lsap::LsapSolution;

@@ -39,28 +39,25 @@ pub fn solve(profits: &impl CostMatrix) -> LsapSolution {
     solve_with_options(profits, AuctionOptions::default())
 }
 
-/// Row-parallel auction: synchronous **Jacobi** bidding rounds instead of
-/// the Gauss-Seidel sweep of [`solve`].
+/// Synchronous **Jacobi** auction: bidding rounds instead of the
+/// Gauss-Seidel sweep of [`solve`].
 ///
 /// Each round, every unassigned row computes its bid against a frozen price
-/// snapshot (the parallel stage — bids are pure reads), then bids are
-/// resolved sequentially: each contested column goes to the highest bid,
-/// ties to the lowest bidder id. Because bids depend only on the snapshot
-/// and resolution order is fixed, the result is **byte-identical at any
-/// thread count** — this is the variant the QAP pipeline uses so its
-/// determinism contract extends to the auction ablation. The round
-/// structure differs from Gauss-Seidel, so values may differ from [`solve`]
-/// within the usual `n · ε_final` optimality band.
-pub fn solve_jacobi(profits: &(impl CostMatrix + Sync), threads: usize) -> LsapSolution {
-    solve_jacobi_with_options(profits, threads, AuctionOptions::default())
+/// snapshot, then bids are resolved in a fixed order: each contested column
+/// goes to the highest bid, ties to the lowest bidder id. This is the
+/// variant the QAP pipeline's auction ablation runs. The bids are pure
+/// reads and could be computed on several threads with the same result,
+/// but measured on a 2-vCPU VM a threaded bidding round lost to the
+/// sequential one at the sizes the ablation passes (2,000 × 2,000:
+/// 6.6–7.3 s on one thread, 9.5–10.9 s on two), so it runs on the caller's
+/// thread. The round structure differs from Gauss-Seidel, so values may
+/// differ from [`solve`] within the usual `n · ε_final` optimality band.
+pub fn solve_jacobi(profits: &impl CostMatrix) -> LsapSolution {
+    solve_jacobi_with_options(profits, AuctionOptions::default())
 }
 
 /// [`solve_jacobi`] with explicit ε-scaling options.
-pub fn solve_jacobi_with_options(
-    profits: &(impl CostMatrix + Sync),
-    threads: usize,
-    opts: AuctionOptions,
-) -> LsapSolution {
+pub fn solve_jacobi_with_options(profits: &impl CostMatrix, opts: AuctionOptions) -> LsapSolution {
     let n = profits.n();
     if n == 0 {
         return LsapSolution {
@@ -68,18 +65,12 @@ pub fn solve_jacobi_with_options(
             value: 0.0,
         };
     }
-    let rows: Vec<usize> = (0..n).collect();
-    let max_abs = hta_par::map_chunks(&rows, threads, |rows| {
-        let mut m = 0.0f64;
-        for &r in rows {
-            for c in 0..n {
-                m = m.max(profits.cost(r, c).abs());
-            }
+    let mut max_abs = 0.0f64;
+    for r in 0..n {
+        for c in 0..n {
+            max_abs = max_abs.max(profits.cost(r, c).abs());
         }
-        m
-    })
-    .into_iter()
-    .fold(0.0f64, f64::max);
+    }
     let scale = if max_abs > 0.0 { max_abs } else { 1.0 };
     let eps_final = (scale * opts.eps_final_fraction).max(f64::MIN_POSITIVE);
     let mut eps = (scale * opts.eps_start_fraction).max(eps_final);
@@ -97,29 +88,31 @@ pub fn solve_jacobi_with_options(
 
         while !unassigned.is_empty() {
             // Jacobi bidding: every unassigned row bids against the same
-            // price snapshot. Pure reads — safe to chunk across threads, and
-            // chunk-ordered results keep the round deterministic.
-            let bids: Vec<(usize, f64)> = hta_par::map_items(&unassigned, threads, |_, &i| {
-                let mut best_j = 0usize;
-                let mut best = f64::NEG_INFINITY;
-                let mut second = f64::NEG_INFINITY;
-                for (j, &pj) in prices.iter().enumerate() {
-                    let m = profits.cost(i, j) - pj;
-                    if m > best {
-                        second = best;
-                        best = m;
-                        best_j = j;
-                    } else if m > second {
-                        second = m;
+            // price snapshot.
+            let bids: Vec<(usize, f64)> = unassigned
+                .iter()
+                .map(|&i| {
+                    let mut best_j = 0usize;
+                    let mut best = f64::NEG_INFINITY;
+                    let mut second = f64::NEG_INFINITY;
+                    for (j, &pj) in prices.iter().enumerate() {
+                        let m = profits.cost(i, j) - pj;
+                        if m > best {
+                            second = best;
+                            best = m;
+                            best_j = j;
+                        } else if m > second {
+                            second = m;
+                        }
                     }
-                }
-                let increment = if second.is_finite() {
-                    best - second
-                } else {
-                    0.0
-                } + eps;
-                (best_j, prices[best_j] + increment)
-            });
+                    let increment = if second.is_finite() {
+                        best - second
+                    } else {
+                        0.0
+                    } + eps;
+                    (best_j, prices[best_j] + increment)
+                })
+                .collect();
 
             // Resolution: per column, the highest bid wins; ties go to the
             // lowest bidder id (bidders iterate in ascending row order, and
@@ -288,10 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_is_near_optimal_and_thread_invariant() {
+    fn jacobi_is_near_optimal_and_deterministic() {
         let m = DenseMatrix::from_fn(23, |r, c| ((r * 13 + c * 7) % 11) as f64 / 2.0);
         let opt = jv::solve(&m);
-        let seq = solve_jacobi(&m, 1);
+        let seq = solve_jacobi(&m);
         assert!(LsapSolution::is_permutation(&seq.assignment));
         let tol = 1e-6 * (1.0 + opt.value.abs());
         assert!(
@@ -300,20 +293,18 @@ mod tests {
             seq.value,
             opt.value
         );
-        for threads in [2usize, 3, 7] {
-            let par = solve_jacobi(&m, threads);
-            assert_eq!(par.assignment, seq.assignment, "threads={threads}");
-            assert_eq!(par.value.to_bits(), seq.value.to_bits());
-        }
+        let again = solve_jacobi(&m);
+        assert_eq!(again.assignment, seq.assignment);
+        assert_eq!(again.value.to_bits(), seq.value.to_bits());
     }
 
     #[test]
     fn jacobi_handles_degenerate_shapes() {
-        let s = solve_jacobi(&DenseMatrix::zeros(0), 4);
+        let s = solve_jacobi(&DenseMatrix::zeros(0));
         assert!(s.assignment.is_empty());
-        let s = solve_jacobi(&DenseMatrix::from_rows(&[[2.0]]), 4);
+        let s = solve_jacobi(&DenseMatrix::from_rows(&[[2.0]]));
         assert_eq!(s.assignment, vec![0]);
-        let s = solve_jacobi(&DenseMatrix::zeros(5), 3);
+        let s = solve_jacobi(&DenseMatrix::zeros(5));
         assert!(LsapSolution::is_permutation(&s.assignment));
         assert_eq!(s.value, 0.0);
     }

@@ -16,88 +16,55 @@ const FREE: usize = usize::MAX;
 /// Greedy LSAP. Automatically uses the column-class representation when the
 /// matrix reports fewer classes than columns (sorting `n·classes` candidate
 /// pairs instead of `n²`).
-pub fn solve(profits: &impl CostMatrix) -> LsapSolution {
-    if profits.n_classes() < profits.n() {
-        solve_classed(profits)
-    } else {
-        solve_dense(profits)
-    }
+pub fn solve(profits: &(impl CostMatrix + Sync)) -> LsapSolution {
+    solve_with_threads(profits, 1)
 }
 
-/// [`solve`] with entry enumeration and the big sort parallelized over
-/// `threads` scoped threads. Entries are enumerated row-chunked and
+/// [`solve`] with entry enumeration and the big sort split over up to
+/// `threads` threads (`hta_par`'s grain rule: a matrix whose entries do not
+/// pay for a spawn runs inline). Entries are enumerated row-chunked and
 /// concatenated in chunk order, and the sort tie-breaks on the unique
 /// `(row, col)` key, so the result is byte-identical to the sequential
 /// path at any thread count.
 pub fn solve_with_threads(profits: &(impl CostMatrix + Sync), threads: usize) -> LsapSolution {
-    if threads <= 1 {
-        return solve(profits);
-    }
     if profits.n_classes() < profits.n() {
-        solve_classed_entries(
-            profits,
-            enumerate_classed_parallel(profits, threads),
-            threads,
-        )
+        let entries = enumerate(profits.n(), profits.n_classes(), threads, |r, cl| {
+            profits.class_cost(r, cl)
+        });
+        solve_classed_entries(profits, entries, threads)
     } else {
-        solve_dense_entries(profits, enumerate_dense_parallel(profits, threads), threads)
+        let entries = enumerate(profits.n(), profits.n(), threads, |r, c| profits.cost(r, c));
+        solve_dense_entries(profits, entries, threads)
     }
 }
 
-fn enumerate_dense_parallel(
-    profits: &(impl CostMatrix + Sync),
+/// The `(value(r, c), r, c)` entries of an `n_rows × width` table in
+/// row-major order, rows split over up to `threads` threads.
+fn enumerate(
+    n_rows: usize,
+    width: usize,
     threads: usize,
+    value: impl Fn(usize, usize) -> f64 + Sync,
 ) -> Vec<(f64, u32, u32)> {
-    let n = profits.n();
-    let rows: Vec<usize> = (0..n).collect();
-    let chunks = hta_par::map_chunks(&rows, threads, |rows| {
-        let mut entries = Vec::with_capacity(rows.len() * n);
+    let rows: Vec<usize> = (0..n_rows).collect();
+    let mut chunks = hta_par::map_chunks(&rows, threads, width, |rows| {
+        let mut entries = Vec::with_capacity(rows.len() * width);
         for &r in rows {
-            for c in 0..n {
-                entries.push((profits.cost(r, c), r as u32, c as u32));
+            for c in 0..width {
+                entries.push((value(r, c), r as u32, c as u32));
             }
         }
         entries
     });
-    let mut entries = Vec::with_capacity(n * n);
-    for chunk in chunks {
-        entries.extend(chunk);
+    if chunks.len() <= 1 {
+        return chunks.pop().unwrap_or_default();
     }
-    entries
-}
-
-fn enumerate_classed_parallel(
-    profits: &(impl CostMatrix + Sync),
-    threads: usize,
-) -> Vec<(f64, u32, u32)> {
-    let n = profits.n();
-    let nc = profits.n_classes();
-    let rows: Vec<usize> = (0..n).collect();
-    let chunks = hta_par::map_chunks(&rows, threads, |rows| {
-        let mut entries = Vec::with_capacity(rows.len() * nc);
-        for &r in rows {
-            for cl in 0..nc {
-                entries.push((profits.class_cost(r, cl), r as u32, cl as u32));
-            }
-        }
-        entries
-    });
-    let mut entries = Vec::with_capacity(n * nc);
-    for chunk in chunks {
-        entries.extend(chunk);
-    }
-    entries
+    chunks.concat()
 }
 
 /// Greedy LSAP over all `n²` entries.
-pub fn solve_dense(profits: &impl CostMatrix) -> LsapSolution {
-    let n = profits.n();
-    let mut entries: Vec<(f64, u32, u32)> = Vec::with_capacity(n * n);
-    for r in 0..n {
-        for c in 0..n {
-            entries.push((profits.cost(r, c), r as u32, c as u32));
-        }
-    }
+pub fn solve_dense(profits: &(impl CostMatrix + Sync)) -> LsapSolution {
+    let entries = enumerate(profits.n(), profits.n(), 1, |r, c| profits.cost(r, c));
     solve_dense_entries(profits, entries, 1)
 }
 
@@ -131,15 +98,10 @@ fn solve_dense_entries(
 /// Produces the same profit as [`solve_dense`] whenever the dense tie-break
 /// ordering groups classes consistently, and is never worse than the ½
 /// guarantee.
-pub fn solve_classed(profits: &impl CostMatrix) -> LsapSolution {
-    let n = profits.n();
-    let nc = profits.n_classes();
-    let mut entries: Vec<(f64, u32, u32)> = Vec::with_capacity(n * nc);
-    for r in 0..n {
-        for cl in 0..nc {
-            entries.push((profits.class_cost(r, cl), r as u32, cl as u32));
-        }
-    }
+pub fn solve_classed(profits: &(impl CostMatrix + Sync)) -> LsapSolution {
+    let entries = enumerate(profits.n(), profits.n_classes(), 1, |r, cl| {
+        profits.class_cost(r, cl)
+    });
     solve_classed_entries(profits, entries, 1)
 }
 
@@ -191,7 +153,8 @@ fn solve_classed_entries(
 
 /// Sort candidate pairs by decreasing profit, tie-broken by `(row, col)` for
 /// determinism. The tie-break key is unique per entry, so the parallel
-/// chunk-sort + merge is byte-identical to the sequential sort.
+/// chunk-sort + merge (above the grain) is byte-identical to the
+/// sequential sort.
 fn sort_entries(entries: &mut [(f64, u32, u32)], threads: usize) {
     hta_par::sort_unstable_by_parallel(entries, threads, |a, b| {
         b.0.partial_cmp(&a.0)
@@ -280,6 +243,21 @@ mod tests {
                 "classed threads={threads}"
             );
             assert_eq!(pc.value.to_bits(), seq_classed.value.to_bits());
+        }
+    }
+
+    /// Above the grain the dense entries really split over threads; the
+    /// result stays byte-identical at 1, 2 and 7 threads.
+    #[test]
+    fn above_grain_threaded_solve_is_byte_identical() {
+        let n = 800;
+        assert!(hta_par::threads_for(n * n, 7) >= 2);
+        let dense = DenseMatrix::from_fn(n, |r, c| ((r * 5 + c * 11) % 13) as f64);
+        let seq = solve(&dense);
+        for threads in [1usize, 2, 7] {
+            let pd = solve_with_threads(&dense, threads);
+            assert_eq!(pd.assignment, seq.assignment, "threads={threads}");
+            assert_eq!(pd.value.to_bits(), seq.value.to_bits());
         }
     }
 
