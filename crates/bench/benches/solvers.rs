@@ -23,7 +23,7 @@ use hta_core::solver::{
 };
 use hta_core::sparse::SparseEdgeCache;
 use hta_core::{keywords_fingerprint, DiversityEdgeCache};
-use hta_index::{CandidatePool, InvertedIndex, PoolMaintainer, PoolParams};
+use hta_index::{CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -291,50 +291,30 @@ impl SparseHarness {
         }
     }
 
-    /// Close the churn set (index + maintainer), or reopen it.
-    fn apply_churn(&mut self, close: bool, maint: Option<&mut PoolMaintainer>) {
-        if close {
-            for &t in &self.churn {
+    /// Close the churn set in the index, or reopen it.
+    fn apply_churn(&mut self, close: bool) {
+        for &t in &self.churn {
+            if close {
                 self.index.remove(t);
-            }
-            if let Some(m) = maint {
-                for &t in &self.churn {
-                    m.apply_remove(t);
-                }
-            }
-        } else {
-            for &t in &self.churn {
+            } else {
                 self.index.insert(t, &self.tasks[t as usize].keywords);
             }
-            if let Some(m) = maint {
-                for &t in &self.churn {
-                    m.apply_insert(t, &self.tasks[t as usize].keywords);
-                }
-            }
         }
-    }
-
-    fn cohort(&self) -> Vec<(u64, &KeywordVec)> {
-        self.workers
-            .iter()
-            .map(|w| (w.id.0 as u64, &w.keywords))
-            .collect()
     }
 }
 
 /// One warm sparse iteration: absorb nothing (churn was applied by the
-/// caller), refresh the pool through the maintainer, delta-refresh the
+/// caller), generate the top-`k` pool from the index, delta-refresh the
 /// sparse edge cache, and warm-repair the matching. Returns the solve
 /// output, the pool size, and the objective.
 fn sparse_warm_iter(
     h: &SparseHarness,
     solver: &HtaGre,
-    maint: &mut PoolMaintainer,
+    k: usize,
     cache: &mut SparseEdgeCache,
     warm: &mut Option<SparseWarmState>,
 ) -> (usize, f64, hta_core::solver::SolveOutcome) {
-    let cohort = h.cohort();
-    let (pool, _delta) = maint.pool_for(&h.index, &cohort, SPARSE_XMAX);
+    let pool = CandidatePool::generate(&h.index, &h.workers, SPARSE_XMAX, &PoolParams::with_k(k));
     let tasks = &h.tasks;
     let weight = |u: u32, v: u32| {
         hta_core::kernels::jaccard_distance(
@@ -373,11 +353,11 @@ fn sparse_cold_iter(
     (open.len(), obj, out)
 }
 
-/// Steady-state sparse sweep at the frontier pool depths: warm (maintainer
-/// delta + cache refresh + matching repair) vs cold (top-k regeneration +
-/// scratch solve) per iteration, at 1% catalog churn. Warm ≡ cold output
-/// is pinned by `hta-crowd`'s `sparse_identity` suite, so this group
-/// tracks wall-clock only.
+/// Steady-state sparse sweep at the frontier pool depths, per iteration
+/// at 1% catalog churn: warm (top-k pool, cache refresh, matching repair)
+/// vs cold (top-k pool, scratch solve). Warm ≡ cold output is pinned by
+/// `hta-crowd`'s `sparse_identity` suite, so this group tracks wall-clock
+/// only.
 fn bench_sparse(c: &mut Criterion) {
     let mut group = c.benchmark_group("solvers/sparse");
     group.sample_size(10);
@@ -386,26 +366,24 @@ fn bench_sparse(c: &mut Criterion) {
         let k = 32usize;
         let mut h = SparseHarness::build(n, 0x53);
         let solver = HtaGre::structured().with_threads(1);
-        let mut maint = PoolMaintainer::new(k);
         let fp = keywords_fingerprint(h.tasks.iter().map(|t| &t.keywords));
         let mut cache = SparseEdgeCache::new(fp, h.tasks.len());
         let mut warm = None;
         // Prime at the fully-open state.
-        sparse_warm_iter(&h, &solver, &mut maint, &mut cache, &mut warm);
-        // Churn absorption (index/maintainer bookkeeping between
-        // iterations) happens in both modes identically, so it is
-        // applied *outside* the timed window: the measured region is
-        // one assignment iteration — pool, edges, solve.
+        sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm);
+        // Churn absorption (index inserts/removes between iterations)
+        // happens in both modes identically, so it is applied *outside*
+        // the timed window: the measured region is one assignment
+        // iteration — pool, edges, solve.
         let mut closed = false;
         group.bench_function(BenchmarkId::new(format!("warm/k{k}/c1"), n), |b| {
             b.iter_custom(|iters| {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     closed = !closed;
-                    h.apply_churn(closed, Some(&mut maint));
+                    h.apply_churn(closed);
                     let start = std::time::Instant::now();
-                    let (members, _, out) =
-                        sparse_warm_iter(&h, &solver, &mut maint, &mut cache, &mut warm);
+                    let (members, _, out) = sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm);
                     black_box((members, out.assignment.assigned_count()));
                     total += start.elapsed();
                 }
@@ -419,7 +397,7 @@ fn bench_sparse(c: &mut Criterion) {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
                     closed = !closed;
-                    h.apply_churn(closed, None);
+                    h.apply_churn(closed);
                     let start = std::time::Instant::now();
                     let (members, _, out) = sparse_cold_iter(&h, &solver, k);
                     black_box((members, out.assignment.assigned_count()));
@@ -768,8 +746,8 @@ fn emit_phase_json() {
 
     // Sparse sweep past the dense cap: one warm + one cold row per
     // (|T|, k), steady-state at 1% catalog churn. Churn absorption (index
-    // and maintainer bookkeeping between iterations) is identical platform
-    // work in both modes, so it runs *outside* the timer: `total_s` covers
+    // inserts/removes between iterations) is identical platform work in
+    // both modes, so it runs *outside* the timer: `total_s` covers
     // one assignment iteration — pool (re)generation, edge work, solve —
     // and warm/cold rows divide into the headline speedup directly. Also
     // prints the pool-size frontier (objective vs. time) for EXPERIMENTS.md;
@@ -781,24 +759,22 @@ fn emit_phase_json() {
         for &k in &SPARSE_POOL_KS {
             let mut h = SparseHarness::build(n, 0x53);
             let solver = HtaGre::structured().with_threads(1);
-            let mut maint = PoolMaintainer::new(k);
             let fp = keywords_fingerprint(h.tasks.iter().map(|t| &t.keywords));
             let mut cache = SparseEdgeCache::new(fp, h.tasks.len());
             let mut warm = None;
-            sparse_warm_iter(&h, &solver, &mut maint, &mut cache, &mut warm); // prime
+            sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm); // prime
             let mut closed = false;
             let ((_, _, out), wall) = best_of(sparse_runs, || {
                 closed = !closed;
-                h.apply_churn(closed, Some(&mut maint));
+                h.apply_churn(closed);
                 let start = std::time::Instant::now();
-                let r = sparse_warm_iter(&h, &solver, &mut maint, &mut cache, &mut warm);
+                let r = sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm);
                 (r, start.elapsed())
             });
             if closed {
-                h.apply_churn(false, Some(&mut maint));
+                h.apply_churn(false);
             }
-            let (members, objective, _) =
-                sparse_warm_iter(&h, &solver, &mut maint, &mut cache, &mut warm);
+            let (members, objective, _) = sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm);
             samples.push(PhaseSample {
                 label: "hta-gre-structured/sparse/warm".into(),
                 n_tasks: n,
@@ -814,17 +790,17 @@ fn emit_phase_json() {
             let mut closed = false;
             let ((_, _, out), cold_wall) = best_of(sparse_runs, || {
                 closed = !closed;
-                h.apply_churn(closed, None);
+                h.apply_churn(closed);
                 let start = std::time::Instant::now();
                 let r = sparse_cold_iter(&h, &solver, k);
                 (r, start.elapsed())
             });
             if closed {
-                h.apply_churn(false, None);
+                h.apply_churn(false);
             }
             let (cold_members, cold_obj, _) = sparse_cold_iter(&h, &solver, k);
-            // Maintainer exactness + solve identity, end to end: at the
-            // same (fully-open) state the two modes must agree bit for bit.
+            // Solve identity, end to end: at the same (fully-open) state the
+            // two modes must agree bit for bit.
             assert_eq!(members, cold_members, "sparse warm/cold pools diverged");
             assert_eq!(
                 objective.to_bits(),

@@ -19,7 +19,7 @@ use hta_core::{
 };
 use hta_datagen::crowdflower::{CrowdflowerCatalog, KINDS};
 use hta_datagen::quality::QualityModel;
-use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams};
+use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
 use hta_life::{LifeOutcome, LifecycleBook, PriorityMix, Reputation};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -281,20 +281,12 @@ pub struct Platform<'c> {
     /// [`Platform::restore_warm`]); a resumed sparse run starts cold and
     /// pays one rebind, output unchanged.
     session: OpenSetSession,
-    /// Incremental candidate-pool maintainer (`Some` iff the session is
-    /// sparse). Kept in sync by [`Platform::open_task`]/
-    /// [`Platform::take_task`], so pools cost churn, not catalog scans.
-    pool_maint: Option<PoolMaintainer>,
     /// Lifecycle + reputation layer (`Some` iff the config enables it).
     life: Option<LifeState>,
 }
 
-/// The open-set session `cfg` calls for over `catalog`, and the pool
-/// maintainer a sparse session needs.
-fn open_set_session(
-    catalog: &CrowdflowerCatalog,
-    cfg: &PlatformConfig,
-) -> (OpenSetSession, Option<PoolMaintainer>) {
+/// The open-set session `cfg` calls for over `catalog`.
+fn open_set_session(catalog: &CrowdflowerCatalog, cfg: &PlatformConfig) -> OpenSetSession {
     let source = EdgeSource::choose(
         catalog.tasks.len(),
         cfg.edge_cache_cap,
@@ -303,8 +295,7 @@ fn open_set_session(
         cfg.candidates.top_k(),
     );
     let keywords: Vec<&KeywordVec> = catalog.tasks.iter().map(|t| &t.task.keywords).collect();
-    let session = OpenSetSession::new(source, &keywords, &Jaccard, cfg.solver_threads);
-    (session, source.pool_k().map(PoolMaintainer::new))
+    OpenSetSession::new(source, &keywords, &Jaccard, cfg.solver_threads)
 }
 
 impl<'c> Platform<'c> {
@@ -327,7 +318,7 @@ impl<'c> Platform<'c> {
             .collect();
         let nbits = catalog.space.len();
         let index = InvertedIndex::build(nbits, &pairs);
-        let (session, pool_maint) = open_set_session(catalog, &cfg);
+        let session = open_set_session(catalog, &cfg);
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(cfg.solver_threads);
@@ -343,7 +334,6 @@ impl<'c> Platform<'c> {
             index,
             solver: Box::new(solver),
             session,
-            pool_maint,
             life,
         }
     }
@@ -424,7 +414,7 @@ impl<'c> Platform<'c> {
                 }
             }
         }
-        let (session, pool_maint) = open_set_session(catalog, &cfg);
+        let session = open_set_session(catalog, &cfg);
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(cfg.solver_threads);
@@ -436,7 +426,6 @@ impl<'c> Platform<'c> {
             index,
             solver: Box::new(solver),
             session,
-            pool_maint,
             life,
         })
     }
@@ -590,30 +579,22 @@ impl<'c> Platform<'c> {
         }
     }
 
-    /// Return a task to the open pool, keeping the index (and, in sparse
-    /// mode, the maintained per-worker top-k lists) in sync.
+    /// Return a task to the open pool, keeping the index in sync.
     fn open_task(&mut self, idx: usize) {
         if !self.available[idx] {
             self.available[idx] = true;
             self.open_rank.open(idx);
-            let kw = &self.catalog.tasks[idx].task.keywords;
-            self.index.insert(idx as u32, kw);
-            if let Some(m) = self.pool_maint.as_mut() {
-                m.apply_insert(idx as u32, kw);
-            }
+            self.index
+                .insert(idx as u32, &self.catalog.tasks[idx].task.keywords);
         }
     }
 
-    /// Take a task off the open pool, keeping the index (and, in sparse
-    /// mode, the maintained per-worker top-k lists) in sync.
+    /// Take a task off the open pool, keeping the index in sync.
     fn take_task(&mut self, idx: usize) {
         if self.available[idx] {
             self.available[idx] = false;
             self.open_rank.close(idx);
             self.index.remove(idx as u32);
-            if let Some(m) = self.pool_maint.as_mut() {
-                m.apply_remove(idx as u32);
-            }
         }
     }
 
@@ -1158,40 +1139,23 @@ impl<'c> Platform<'c> {
                 open
             }
             CandidateMode::TopK(k) => {
-                if let Some(maint) = self.pool_maint.as_mut() {
-                    // Sparse warm-start pipeline: the maintainer has
-                    // absorbed the churn since the last iteration, so the
-                    // pool costs the delta instead of a per-worker index
-                    // scan — and is byte-identical to `generate` (pinned by
-                    // the maintainer's tests).
-                    let cohort: Vec<(u64, &KeywordVec)> = slots
-                        .iter()
-                        .map(|&slot| {
-                            let w = active[slot].worker;
-                            (w.index as u64, &w.keywords)
-                        })
-                        .collect();
-                    let (pool, _delta) = maint.pool_for(&self.index, &cohort, self.cfg.xmax);
-                    // Refresh the sparse edge cache over the new pool:
-                    // weights are computed only for pairs touching added
-                    // members, everything else is retained.
-                    let catalog = self.catalog;
-                    self.session.refresh_pool(pool.members(), |u, v| {
-                        hta_core::kernels::jaccard_distance(
-                            &catalog.tasks[u as usize].task.keywords,
-                            &catalog.tasks[v as usize].task.keywords,
-                        )
-                    });
-                    pool.members().iter().map(|&t| t as usize).collect()
-                } else {
-                    let pool = CandidatePool::generate(
-                        &self.index,
-                        &local_workers,
-                        self.cfg.xmax,
-                        &PoolParams::with_k(k),
-                    );
-                    pool.members().iter().map(|&t| t as usize).collect()
-                }
+                let pool = CandidatePool::generate(
+                    &self.index,
+                    &local_workers,
+                    self.cfg.xmax,
+                    &PoolParams::with_k(k),
+                );
+                // Sparse sessions refresh their edge cache over the new
+                // pool: weights are computed only for pairs touching added
+                // members. A no-op for every other session.
+                let catalog = self.catalog;
+                self.session.refresh_pool(pool.members(), |u, v| {
+                    hta_core::kernels::jaccard_distance(
+                        &catalog.tasks[u as usize].task.keywords,
+                        &catalog.tasks[v as usize].task.keywords,
+                    )
+                });
+                pool.members().iter().map(|&t| t as usize).collect()
             }
         };
         if open.is_empty() {

@@ -15,7 +15,9 @@
 //! * [`CandidatePool`] — unions per-worker top-k sets, fills up to the
 //!   feasibility floor `|W| · X_max` with coverage-seeded diverse tasks
 //!   (scored once per class per coverage state), and builds a pool-local
-//!   [`hta_core::Instance`] with a back-to-catalog map;
+//!   [`hta_core::Instance`] with a back-to-catalog map. Every solve takes
+//!   a fresh pool from [`CandidatePool::generate`]: a pool is a pure
+//!   function of the live index and the cohort;
 //! * [`SparseCandidateGenerator`] — plugs the whole pipeline into
 //!   [`hta_core::IterationEngine`] via the
 //!   [`hta_core::CandidateGenerator`] hook.
@@ -26,14 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod inverted;
-pub mod maintainer;
 pub mod pool;
 
 mod engine;
 
 pub use engine::SparseCandidateGenerator;
 pub use inverted::InvertedIndex;
-pub use maintainer::{PoolDelta, PoolMaintainer};
 pub use pool::{CandidateMode, CandidatePool, PoolParams};
 
 /// Always 1: the index is one flat structure. Kept only because the

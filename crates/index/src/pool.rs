@@ -159,33 +159,11 @@ impl CandidatePool {
         xmax: usize,
         params: &PoolParams,
     ) -> Self {
-        let lists: Vec<Vec<(u32, f64)>> = workers
-            .iter()
-            .map(|w| index.top_k(&w.keywords, params.per_worker_k))
-            .collect();
-        Self::from_worker_topk(index, &lists, xmax)
-    }
-
-    /// Generate a pool from **pre-computed** per-worker top-k lists — the
-    /// entry point for the [`crate::PoolMaintainer`], which keeps each list
-    /// live under churn instead of querying the index per solve. `index`
-    /// still drives diversity seeding and the feasibility floor.
-    ///
-    /// Pool membership depends only on the *set* of retrieved tasks (the
-    /// union is first-seen but members are sorted before use, and seeding
-    /// scores depend only on pool keyword counts), so feeding lists that
-    /// are element-wise equal to the local `index.top_k` output yields a
-    /// byte-identical pool.
-    pub fn from_worker_topk(
-        index: &InvertedIndex,
-        topk_lists: &[Vec<(u32, f64)>],
-        xmax: usize,
-    ) -> Self {
-        let floor = index.len().min(topk_lists.len() * xmax);
+        let floor = index.len().min(workers.len() * xmax);
         let mut members: Vec<u32> = Vec::new();
         let mut in_pool: HashMap<u32, ()> = HashMap::new();
-        for list in topk_lists {
-            for &(task, _score) in list {
+        for w in workers {
+            for (task, _score) in index.top_k(&w.keywords, params.per_worker_k) {
                 if let Entry::Vacant(e) = in_pool.entry(task) {
                     e.insert(());
                     members.push(task);

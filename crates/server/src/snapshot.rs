@@ -324,7 +324,6 @@ impl PlatformState {
             // serialized and rebuilds on the first solve, with
             // byte-identical output either way.
             session: None,
-            pool_maint: None,
         }))
     }
 }

@@ -10,7 +10,7 @@ use hta_core::{
     EdgeSource, Instance, Jaccard, KeywordSpace, KeywordVec, OpenSetSession, Task, TaskId,
     TaskPool, Weights, Worker, WorkerId,
 };
-use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolMaintainer, PoolParams};
+use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
 use hta_life::Reputation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,9 +136,6 @@ pub(crate) struct Inner {
     /// and a restored server rebuilds on first use, with byte-identical
     /// solver output either way.
     pub(crate) session: Option<OpenSetSession>,
-    /// Incremental candidate-pool maintainer, `Some` iff the session is
-    /// sparse (top-k mode past the dense cap). Derived like the session.
-    pub(crate) pool_maint: Option<PoolMaintainer>,
 }
 
 impl Inner {
@@ -148,8 +145,7 @@ impl Inner {
         hta_core::edges::edge_cache_cap(self.edge_cache_cap)
     }
 
-    /// Derive the session from the current configuration, installing the
-    /// pool maintainer a sparse session needs.
+    /// Derive the session from the current configuration.
     ///
     /// Soundness of reusing the dense edges: the task catalog never mutates
     /// after construction, and keyword-space widening only appends zero
@@ -159,7 +155,7 @@ impl Inner {
     /// strictly ascending catalog indices (`Full` filters an ascending
     /// range, `TopK` pools sort their members), which the session's guards
     /// verify before reusing the edges or the warm matching.
-    fn derive_session(&mut self) -> OpenSetSession {
+    fn derive_session(&self) -> OpenSetSession {
         let source = EdgeSource::choose(
             self.tasks.len(),
             self.edge_cache_cap,
@@ -168,26 +164,14 @@ impl Inner {
             self.mode.top_k(),
         );
         let keywords: Vec<&KeywordVec> = self.tasks.tasks().iter().map(|t| &t.keywords).collect();
-        let session = OpenSetSession::new(source, &keywords, &Jaccard, self.solver_threads);
-        self.pool_maint = source.pool_k().map(PoolMaintainer::new);
-        session
+        OpenSetSession::new(source, &keywords, &Jaccard, self.solver_threads)
     }
 
-    /// Drop the derived session after a configuration change; the next
-    /// assignment rebuilds it.
-    fn reset_session(&mut self) {
-        self.session = None;
-        self.pool_maint = None;
-    }
-
-    /// Take a task off the open pool: availability, the keyword index, and
-    /// (when active) the maintained per-worker top-k lists stay in sync.
+    /// Take a task off the open pool: availability and the keyword index
+    /// stay in sync.
     pub(crate) fn close_task(&mut self, ci: usize) {
         self.available[ci] = false;
         self.index.remove(ci as u32);
-        if let Some(m) = self.pool_maint.as_mut() {
-            m.apply_remove(ci as u32);
-        }
     }
 }
 
@@ -244,7 +228,6 @@ impl PlatformState {
                 warm_start: true,
                 edge_cache_cap: 0,
                 session: None,
-                pool_maint: None,
             }),
         }
     }
@@ -277,7 +260,7 @@ impl PlatformState {
     pub fn set_candidate_mode(&self, mode: CandidateMode) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.mode = mode;
-        inner.reset_session();
+        inner.session = None;
     }
 
     /// The active candidate-generation mode.
@@ -293,7 +276,7 @@ impl PlatformState {
     pub fn set_warm_start(&self, enabled: bool) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.warm_start = enabled;
-        inner.reset_session();
+        inner.session = None;
     }
 
     /// Whether warm-started solves are enabled.
@@ -310,7 +293,7 @@ impl PlatformState {
     pub fn set_edge_cache_cap(&self, cap: usize) {
         let mut inner = self.inner.lock().expect("state lock");
         inner.edge_cache_cap = cap;
-        inner.reset_session();
+        inner.session = None;
     }
 
     /// The dense edge-cache catalog cap in effect (shown in `/stats`).
@@ -444,36 +427,24 @@ impl PlatformState {
                 .take(inner.max_instance_tasks)
                 .collect(),
             CandidateMode::TopK(k) => {
-                let pool = if let Some(maint) = inner.pool_maint.as_mut() {
-                    // Incremental pool: the maintainer absorbed the churn
-                    // since the last solve, byte-identical to `generate`
-                    // over the live index with the same (widened) keyword
-                    // vectors.
-                    let cohort_kw: Vec<(u64, &KeywordVec)> = cohort
-                        .iter()
-                        .zip(&local_workers)
-                        .map(|(&w, lw)| (w as u64, &lw.keywords))
-                        .collect();
-                    let (pool, _delta) = maint.pool_for(&inner.index, &cohort_kw, inner.xmax);
-                    // Weights run over the *stored* task vectors: widening
-                    // appends zero bits, which changes no popcount, so they
-                    // are bit-equal to the pool instance's diversity values.
-                    let tasks = &inner.tasks;
-                    session.refresh_pool(pool.members(), |u, v| {
-                        hta_core::kernels::jaccard_distance(
-                            &tasks.get(TaskId(u)).keywords,
-                            &tasks.get(TaskId(v)).keywords,
-                        )
-                    });
-                    pool
-                } else {
-                    CandidatePool::generate(
-                        &inner.index,
-                        &local_workers,
-                        inner.xmax,
-                        &PoolParams::with_k(k),
+                let pool = CandidatePool::generate(
+                    &inner.index,
+                    &local_workers,
+                    inner.xmax,
+                    &PoolParams::with_k(k),
+                );
+                // A sparse session refreshes its edge cache over the pool
+                // (a no-op for every other session). Weights run over the
+                // *stored* task vectors: widening appends zero bits, which
+                // changes no popcount, so they are bit-equal to the pool
+                // instance's diversity values.
+                let tasks = &inner.tasks;
+                session.refresh_pool(pool.members(), |u, v| {
+                    hta_core::kernels::jaccard_distance(
+                        &tasks.get(TaskId(u)).keywords,
+                        &tasks.get(TaskId(v)).keywords,
                     )
-                };
+                });
                 pool.members().iter().map(|&t| t as usize).collect()
             }
         };
@@ -1033,12 +1004,14 @@ mod tests {
     #[test]
     fn sparse_mode_matches_dense_past_the_cap() {
         // Three twins in TopK mode, identical seeds: one with an edge-cache
-        // cap the catalog exceeds (→ sparse pipeline: pool maintainer +
+        // cap the catalog exceeds (→ sparse pipeline: per-solve pools +
         // sparse edge cache + sparse warm repair), one with the default cap
         // (→ dense cache + dense warm repair), and one past the cap with
         // warm solving off (→ cold per-solve enumeration). All three must
         // hand out byte-identical assignments through register / assign /
-        // assign_batch / complete churn.
+        // assign_batch / complete churn, including a mid-run registration
+        // whose unseen keyword widens the keyword space under the workers
+        // already seen.
         let make = || {
             let w = generate(&AmtConfig {
                 n_groups: 20,
@@ -1059,20 +1032,49 @@ mod tests {
         cold.set_edge_cache_cap(1);
         cold.set_warm_start(false);
 
+        let width = sparse.with_inner(|i| i.space.len());
+        // The worker registered mid-run (same id on every twin).
+        let mut late: Option<usize> = None;
         for round in 0..4 {
+            if round == 2 {
+                let kws = ["english", "unseen-keyword"];
+                let c = sparse.register_worker(&kws).unwrap();
+                assert_eq!(c, dense.register_worker(&kws).unwrap());
+                assert_eq!(c, cold.register_worker(&kws).unwrap());
+                late = Some(c);
+            }
+            let with_late =
+                |b: usize, a: usize| -> Vec<usize> { late.into_iter().chain([b, a]).collect() };
             let x = sparse.assign(sa).unwrap();
             let y = dense.assign(da).unwrap();
             let z = cold.assign(ca).unwrap();
             assert_eq!(x, y, "round {round}: sparse vs dense diverged");
             assert_eq!(x, z, "round {round}: sparse vs cold diverged");
-            let xb = sparse.assign_batch(&[sb, sa]).unwrap();
-            let yb = dense.assign_batch(&[db, da]).unwrap();
-            let zb = cold.assign_batch(&[cb, ca]).unwrap();
+            if let Some(c) = late {
+                let xc = sparse.assign(c).unwrap();
+                assert!(
+                    !xc.tasks.is_empty(),
+                    "round {round}: late worker got nothing"
+                );
+                assert_eq!(
+                    xc,
+                    dense.assign(c).unwrap(),
+                    "round {round}: late worker, sparse vs dense"
+                );
+                assert_eq!(
+                    xc,
+                    cold.assign(c).unwrap(),
+                    "round {round}: late worker, sparse vs cold"
+                );
+            }
+            let xb = sparse.assign_batch(&with_late(sb, sa)).unwrap();
+            let yb = dense.assign_batch(&with_late(db, da)).unwrap();
+            let zb = cold.assign_batch(&with_late(cb, ca)).unwrap();
             assert_eq!(xb, yb, "round {round}: batch sparse vs dense diverged");
             assert_eq!(xb, zb, "round {round}: batch sparse vs cold diverged");
-            let xs = sparse.assign_batch_sequential(&[sb, sa]).unwrap();
-            let ys = dense.assign_batch_sequential(&[db, da]).unwrap();
-            let zs = cold.assign_batch_sequential(&[cb, ca]).unwrap();
+            let xs = sparse.assign_batch_sequential(&with_late(sb, sa)).unwrap();
+            let ys = dense.assign_batch_sequential(&with_late(db, da)).unwrap();
+            let zs = cold.assign_batch_sequential(&with_late(cb, ca)).unwrap();
             assert_eq!(xs, ys, "round {round}: seq batch sparse vs dense diverged");
             assert_eq!(xs, zs, "round {round}: seq batch sparse vs cold diverged");
             if let Some(&t) = x.tasks.first() {
@@ -1081,9 +1083,10 @@ mod tests {
                 cold.complete(ca, t).unwrap();
             }
         }
-        // The sparse pipeline actually engaged (not a silent dense fallback).
+        // The sparse pipeline actually engaged (not a silent dense fallback)
+        // and solved past a widening.
         sparse.with_inner(|i| {
-            assert!(i.pool_maint.is_some(), "pool maintainer never built");
+            assert!(i.space.len() > width, "the keyword space never widened");
             let session = i.session.as_ref();
             let cache = session
                 .and_then(|s| s.sparse_cache())
