@@ -53,9 +53,12 @@ fn amt_corpus(n_tasks: usize, groups: usize, n_workers: usize, seed: u64) -> Cor
     }
 }
 
+fn task_pairs(c: &Corpus) -> Vec<(u32, &KeywordVec)> {
+    c.tasks.iter().map(|t| (t.id.0, &t.keywords)).collect()
+}
+
 fn build_index(c: &Corpus) -> InvertedIndex {
-    let pairs: Vec<(u32, &KeywordVec)> = c.tasks.iter().map(|t| (t.id.0, &t.keywords)).collect();
-    InvertedIndex::build(c.nbits, &pairs)
+    InvertedIndex::build(c.nbits, &task_pairs(c))
 }
 
 /// Index build, top-k query, and pool generation at 1k / 10k / 100k tasks.
@@ -184,11 +187,12 @@ fn crowdflower_corpus(n_tasks: usize, n_workers: usize, seed: u64) -> Corpus {
     }
 }
 
-/// Top-k and pool generation on the grouped catalogs the keyword-class
-/// index is built for: the 100k-task CrowdFlower catalog and the 200k-task
-/// AMT catalog (10,000 groups of 20). Before timing, each answer is
-/// checked against a brute-force scan; any divergence panics, so the bench
-/// smoke run fails on a wrong answer.
+/// Build, top-k and pool generation on the grouped catalogs the
+/// keyword-class index is built for: the 100k-task CrowdFlower catalog and
+/// the 200k-task AMT catalog (10,000 groups of 20). Before timing, the
+/// build is checked against a sequential `insert` pass (structural
+/// equality) and each answer against a brute-force scan; any divergence
+/// panics, so the bench smoke run fails on a wrong build or answer.
 fn bench_index_classes(c: &mut Criterion) {
     let mut group = c.benchmark_group("index/classes");
     group.sample_size(10);
@@ -198,7 +202,19 @@ fn bench_index_classes(c: &mut Criterion) {
         ("amt-200k", amt_corpus(200_000, 10_000, 20, 0xC3)),
     ];
     for (name, corpus) in &catalogs {
-        let index = build_index(corpus);
+        let pairs = task_pairs(corpus);
+        let index = InvertedIndex::build(corpus.nbits, &pairs);
+        let mut sequential = InvertedIndex::new(corpus.nbits);
+        for &(id, kw) in &pairs {
+            sequential.insert(id, kw);
+        }
+        assert!(
+            index == sequential,
+            "{name}: InvertedIndex::build differs from a sequential insert pass"
+        );
+        group.bench_function(BenchmarkId::new("build", name), |b| {
+            b.iter(|| black_box(InvertedIndex::build(corpus.nbits, &pairs)))
+        });
         let top_k = || -> Vec<Vec<(u32, f64)>> {
             corpus
                 .workers

@@ -351,7 +351,7 @@ fn repro_header(label: &str, cfg: &hta_crowd::OnlineConfig) -> String {
         cfg.platform.warm_start,
         cfg.platform.candidates.top_k(),
     );
-    let sparse = matches!(source, EdgeSource::Sparse { .. });
+    let sparse = matches!(source, EdgeSource::Sparse);
     line.push_str(&format!(
         " edge-cache-cap={} sparse-warm={}",
         fmt_auto(cfg.platform.edge_cache_cap, cache_cap),

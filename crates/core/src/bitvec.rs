@@ -132,9 +132,10 @@ impl KeywordVec {
         })
     }
 
-    /// The raw 64-bit blocks (little-endian bit order within a block).
+    /// The raw 64-bit blocks (little-endian bit order within a block); every
+    /// bit at or above `nbits` is zero.
     #[inline]
-    pub(crate) fn blocks(&self) -> &[u64] {
+    pub fn blocks(&self) -> &[u64] {
         &self.blocks
     }
 

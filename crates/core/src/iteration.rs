@@ -180,7 +180,7 @@ impl IterationEngine {
     /// edge list. Results are byte-identical to the cold path at every
     /// churn level.
     pub fn enable_sparse_warm_start(&mut self) {
-        self.session = OpenSetSession::sparse(&keywords(&self.tasks));
+        self.session = OpenSetSession::sparse(self.tasks.len());
     }
 
     /// Drop the sparse warm-start state.
@@ -471,6 +471,72 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let cached = fresh.run_iteration(&HtaGre::new(), &mut rng).unwrap();
         assert_eq!(cached.assignments, expect.assignments);
+    }
+
+    #[test]
+    fn stale_sparse_cache_restarts_empty_and_results_match_cacheless() {
+        use crate::edges::keywords_fingerprint;
+        use crate::metric::Jaccard;
+        use crate::sparse::SparseEdgeCache;
+        use crate::task::Task;
+
+        // Baseline: no cache at all, over two iterations.
+        let mut plain = setup(24, 2, 3);
+        let mut rng = StdRng::seed_from_u64(5);
+        let expect: Vec<_> = (0..2)
+            .map(|_| plain.run_iteration(&HtaGre::new(), &mut rng).unwrap())
+            .collect();
+
+        // A sparse cache bound to a *different* catalog, holding that
+        // catalog's weights and a warm state built on them.
+        let other: Vec<Task> = (0..24)
+            .map(|i| {
+                Task::new(
+                    TaskId(i as u32),
+                    GroupId(0),
+                    KeywordVec::from_indices(32, &[(i * 11 + 2) % 32]),
+                )
+            })
+            .collect();
+        let other_kw: Vec<&KeywordVec> = other.iter().map(|t| &t.keywords).collect();
+        let other_weight =
+            |u: u32, v: u32| Jaccard.dist(other_kw[u as usize], other_kw[v as usize]);
+        let mut planted = OpenSetSession::Sparse {
+            cache: SparseEdgeCache::new(keywords_fingerprint(other_kw.iter().copied()), 24),
+            warm: None,
+        };
+        planted.refresh_pool(&(0..24).collect::<Vec<_>>(), other_weight);
+        planted.refresh_pool(&(0..20).collect::<Vec<_>>(), other_weight);
+
+        // The engine's own session starts unbound; the first iteration
+        // binds it without dropping anything the later ones reuse.
+        let mut own = setup(24, 2, 3);
+        own.enable_sparse_warm_start();
+        assert_eq!(own.session.sparse_cache().unwrap().fingerprint(), None);
+        let mut stale = setup(24, 2, 3);
+        stale.session = planted;
+
+        let live = keywords_fingerprint(stale.tasks.tasks().iter().map(|t| &t.keywords));
+        for engine in [&mut stale, &mut own] {
+            let mut rng = StdRng::seed_from_u64(5);
+            for (i, want) in expect.iter().enumerate() {
+                let got = engine.run_iteration(&HtaGre::new(), &mut rng).unwrap();
+                assert_eq!(got.assignments, want.assignments);
+                assert_eq!(got.objective, want.objective);
+                // Bound to the live catalog and restarted empty: one pool
+                // install per iteration since, and every weight is the
+                // live catalog's.
+                let cache = engine.session.sparse_cache().unwrap();
+                assert_eq!(cache.fingerprint(), Some(live));
+                assert_eq!(cache.epoch(), i as u64 + 1);
+                let kw = keywords(&engine.tasks);
+                let mut fresh = SparseEdgeCache::new(live, 24);
+                fresh.rebuild(cache.members(), &|u, v| {
+                    Jaccard.dist(kw[u as usize], kw[v as usize])
+                });
+                assert_eq!(cache.edges(), fresh.edges());
+            }
+        }
     }
 
     #[test]

@@ -33,14 +33,14 @@ use hta_matching::incremental::UpdateStats;
 use hta_matching::{DynamicMatching, Matching};
 
 use crate::solver::warm::LsapMemo;
-use crate::sparse::SparseEdgeCache;
+use crate::sparse::{CacheBinding, SparseEdgeCache};
 
 /// Matching and LSAP state carried across sparse-pipeline solves. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SparseWarmState {
-    /// Catalog fingerprint this state is bound to (must match the cache's).
-    fingerprint: u64,
+    /// The cache binding this state was built on (must match the cache's).
+    binding: CacheBinding,
     /// The cache epoch the matching state currently reflects.
     epoch: u64,
     /// Greedy matching over global catalog ids, maintained across member
@@ -63,7 +63,7 @@ impl SparseWarmState {
         let mut dynm = DynamicMatching::new(cache.n_catalog());
         dynm.rebind(cache.members(), cache.edges());
         Self {
-            fingerprint: cache.fingerprint(),
+            binding: cache.binding(),
             epoch: cache.epoch(),
             dynm,
             memo: None,
@@ -72,16 +72,13 @@ impl SparseWarmState {
         }
     }
 
-    /// Fingerprint of the catalog this state is bound to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Whether this state was built from (an identical twin of) `cache`.
-    /// The epoch deliberately does **not** participate: a stale epoch is
-    /// recoverable by [`sync`](Self::sync), a foreign catalog is not.
+    /// Whether this state was built from (an identical twin of) `cache`:
+    /// a cache bound to the same catalog, or the very unbound cache it was
+    /// built on. The epoch deliberately does **not** participate: a stale
+    /// epoch is recoverable by [`sync`](Self::sync), a foreign catalog is
+    /// not.
     pub fn matches_cache(&self, cache: &SparseEdgeCache) -> bool {
-        self.fingerprint == cache.fingerprint()
+        self.binding == cache.binding()
     }
 
     /// Re-align with `cache` after a pool refresh. When the state is
@@ -288,5 +285,13 @@ mod tests {
         other[3].keywords.set(20);
         let other_cache = pool_cache(&other, &(0..20).collect::<Vec<_>>());
         assert!(!warm.matches_cache(&other_cache));
+
+        // An unbound cache knows no catalog: a warm state built on it
+        // matches that cache alone, never another unbound one.
+        let unbound = SparseEdgeCache::unbound(20);
+        let warm = SparseWarmState::new(&unbound);
+        assert!(warm.matches_cache(&unbound));
+        assert!(!warm.matches_cache(&SparseEdgeCache::unbound(20)));
+        assert!(!warm.matches_cache(&cache));
     }
 }

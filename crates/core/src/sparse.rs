@@ -30,9 +30,22 @@
 //! (integer work only — no distances) instead of trusting dangling
 //! positions.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use hta_matching::{edge_order, WeightedEdge};
 
 use crate::edges::initial_edge_reserve;
+
+/// What a [`SparseEdgeCache`]'s weights are tied to; warm states compare
+/// it to reject a foreign cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheBinding {
+    /// The catalog with this [`crate::edges::keywords_fingerprint`].
+    Catalog(u64),
+    /// No catalog checked yet. The token is unique in the process, so two
+    /// unbound caches never pass for each other.
+    Unbound(u64),
+}
 
 /// Statistics from one [`SparseEdgeCache::refresh`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -57,9 +70,9 @@ pub struct SparseRefreshStats {
 /// candidate-pool members of a fixed catalog. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SparseEdgeCache {
-    /// [`crate::edges::keywords_fingerprint`] of the catalog the weights
-    /// come from — the same binding guard the dense cache uses.
-    fingerprint: u64,
+    /// The catalog the weights come from, by fingerprint (the same guard
+    /// the dense cache uses), or an unbound cache's unique token.
+    binding: CacheBinding,
     /// Catalog size (member ids must stay below this).
     n_catalog: usize,
     /// Current pool members, strictly increasing catalog ids.
@@ -101,8 +114,25 @@ impl SparseEdgeCache {
     /// `n_catalog` tasks. The first [`refresh`](Self::refresh) installs the
     /// initial pool.
     pub fn new(fingerprint: u64, n_catalog: usize) -> Self {
+        Self::with_binding(CacheBinding::Catalog(fingerprint), n_catalog)
+    }
+
+    /// An empty cache over an `n_catalog`-task catalog that no fingerprint
+    /// has been checked against, so building one never hashes the catalog.
+    /// A caller that compares catalogs swaps it for a bound one
+    /// ([`crate::OpenSetSession::revalidate`]); a warm state built on it
+    /// matches this cache alone.
+    pub fn unbound(n_catalog: usize) -> Self {
+        static NEXT_TOKEN: AtomicU64 = AtomicU64::new(0);
+        // Relaxed: the token publishes no other data, and `fetch_add`
+        // alone makes it unique.
+        let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
+        Self::with_binding(CacheBinding::Unbound(token), n_catalog)
+    }
+
+    fn with_binding(binding: CacheBinding, n_catalog: usize) -> Self {
         Self {
-            fingerprint,
+            binding,
             n_catalog,
             members: Vec::new(),
             edges: Vec::new(),
@@ -114,9 +144,17 @@ impl SparseEdgeCache {
         }
     }
 
-    /// Fingerprint of the catalog this cache is bound to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// Fingerprint of the catalog this cache is bound to (`None` while
+    /// [unbound](Self::unbound)).
+    pub fn fingerprint(&self) -> Option<u64> {
+        match self.binding {
+            CacheBinding::Catalog(fp) => Some(fp),
+            CacheBinding::Unbound(_) => None,
+        }
+    }
+
+    pub(crate) fn binding(&self) -> CacheBinding {
+        self.binding
     }
 
     /// Catalog size the member ids index into.

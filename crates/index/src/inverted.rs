@@ -8,7 +8,9 @@
 //! class once instead of each task, and the candidate pool's diversity
 //! seeding memoises its coverage score per class.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
 use hta_core::KeywordVec;
@@ -16,8 +18,46 @@ use hta_core::KeywordVec;
 /// Sentinel in `class_of` marking a task that is not in the index.
 const ABSENT: u32 = u32::MAX;
 
+/// A multiplicative hasher (the FxHash family) for the bulk build's class
+/// map: its keys are a few machine words of the caller's own catalog, so
+/// SipHash's defence against crafted collisions buys nothing there.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; the table indexes
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// One distinct keyword set and its open tasks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Class {
     /// Ascending keyword ids: the class key.
     keywords: Vec<u32>,
@@ -35,7 +75,10 @@ struct Class {
 /// positions in the shared [`hta_core::KeywordSpace`] universe. A class
 /// lives exactly as long as it has an open task, so every posting points
 /// at a non-empty class.
-#[derive(Debug, Clone, Default)]
+///
+/// Equality is structural: class ids, posting order and freed slots
+/// included, not only the open tasks and their keywords.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InvertedIndex {
     /// `postings[kw]` = live classes whose keyword set holds `kw`
     /// (unordered).
@@ -61,23 +104,100 @@ impl InvertedIndex {
         }
     }
 
-    /// Bulk-build from `(task id, keyword vector)` pairs: one sequential
-    /// [`InvertedIndex::insert`] pass in input order, so a duplicate task id
-    /// is skipped exactly as `insert` skips it (first occurrence wins).
+    /// Bulk-build from `(task id, keyword vector)` pairs. The result is
+    /// structurally identical to one sequential [`InvertedIndex::insert`]
+    /// pass in input order: the same class ids in first-seen order, the
+    /// same posting order, ascending members, and a duplicate task id is
+    /// skipped exactly as `insert` skips it (first occurrence wins).
+    ///
+    /// Tasks are grouped by their vector's blocks with the trailing zero
+    /// blocks cut off, so a vector narrower than the universe joins the
+    /// class of a wider one with the same keywords; keyword ids are
+    /// extracted once per distinct vector, not once per task.
+    ///
+    /// # Panics
+    /// Panics if a vector is wider than the universe.
     pub fn build(nbits: usize, tasks: &[(u32, &KeywordVec)]) -> Self {
         let mut index = Self::new(nbits);
         // Size the per-task table once instead of growing it id by id.
         if let Some(max_id) = tasks.iter().map(|&(id, _)| id).max() {
             index.reserve_task(max_id);
         }
-        // Grouped catalogs list a group's tasks back to back, so the
-        // previous task's class is checked before the class map.
-        let mut key = Vec::new();
-        let mut last = None;
-        for &(id, kw) in tasks {
-            last = index.insert_keyed(id, kw, &mut key, last).or(last);
-        }
+        let grouped = tasks.iter().map(|&(id, kw)| {
+            assert!(
+                kw.nbits() <= nbits,
+                "keyword vector wider ({}) than the index universe ({nbits})",
+                kw.nbits()
+            );
+            let blocks = kw.blocks();
+            let used = blocks.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+            (id, &blocks[..used])
+        });
+        // The catalog is the caller's own, so the map needs no defence
+        // against crafted collisions.
+        let hasher = BuildHasherDefault::<MulHasher>::default();
+        index.fill_grouped(grouped, hasher, |blocks, ids| {
+            for (i, &block) in blocks.iter().enumerate() {
+                let mut b = block;
+                while b != 0 {
+                    ids.push((i * 64) as u32 + b.trailing_zeros());
+                    b &= b - 1;
+                }
+            }
+        });
         index
+    }
+
+    /// Fill an empty index from `(task id, class key)` pairs in input
+    /// order, skipping a task id already present. Equal keys mean equal
+    /// keyword sets, and `keyword_ids` appends a key's ascending keyword
+    /// ids. A task's class is found by checking the previous task's key
+    /// (grouped catalogs list a group's tasks back to back), then a map
+    /// keyed by the key; only on a miss are the keyword ids extracted and
+    /// the class opened, so classes get ids in first-seen order exactly as
+    /// a sequential [`insert`](Self::insert) pass gives them. The map is
+    /// never iterated, so its `hasher` cannot change the result.
+    fn fill_grouped<'k, K, S>(
+        &mut self,
+        tasks: impl Iterator<Item = (u32, &'k K)>,
+        hasher: S,
+        keyword_ids: impl Fn(&K, &mut Vec<u32>),
+    ) where
+        K: Eq + Hash + ?Sized + 'k,
+        S: BuildHasher,
+    {
+        debug_assert!(self.classes.is_empty() && self.docs == 0);
+        let mut seen: HashMap<&K, u32, S> = HashMap::with_hasher(hasher);
+        let mut prev: Option<(&K, u32)> = None;
+        let mut ids = Vec::new();
+        for (task, key) in tasks {
+            if self.contains(task) {
+                continue;
+            }
+            let class = match prev {
+                Some((k, c)) if k == key => c,
+                _ => match seen.get(key) {
+                    Some(&c) => c,
+                    None => {
+                        ids.clear();
+                        keyword_ids(key, &mut ids);
+                        let c = self.class_for(&ids);
+                        seen.insert(key, c);
+                        c
+                    }
+                },
+            };
+            prev = Some((key, class));
+            self.reserve_task(task);
+            self.classes[class as usize].members.push(task);
+            self.class_of[task as usize] = class;
+            self.docs += 1;
+        }
+        for class in &mut self.classes {
+            if !class.members.is_sorted() {
+                class.members.sort_unstable();
+            }
+        }
     }
 
     /// Width of the keyword universe.
@@ -224,20 +344,6 @@ impl InvertedIndex {
     /// # Panics
     /// Panics if the vector is wider than the index universe (widen first).
     pub fn insert(&mut self, task: u32, keywords: &KeywordVec) -> bool {
-        self.insert_keyed(task, keywords, &mut Vec::new(), None)
-            .is_some()
-    }
-
-    /// [`InvertedIndex::insert`] with a reusable key buffer and a class
-    /// worth checking before the class map; returns the task's class, or
-    /// `None` when the task was already present.
-    fn insert_keyed(
-        &mut self,
-        task: u32,
-        keywords: &KeywordVec,
-        key: &mut Vec<u32>,
-        guess: Option<u32>,
-    ) -> Option<u32> {
         assert!(
             keywords.nbits() <= self.postings.len(),
             "keyword vector wider ({}) than the index universe ({})",
@@ -245,20 +351,11 @@ impl InvertedIndex {
             self.postings.len()
         );
         if self.contains(task) {
-            return None;
+            return false;
         }
         self.reserve_task(task);
-        key.clear();
-        key.extend(keywords.iter_ones().map(|b| b as u32));
-        let class = match guess {
-            Some(c)
-                if self.classes[c as usize].keywords == *key
-                    && !self.classes[c as usize].members.is_empty() =>
-            {
-                c
-            }
-            _ => self.class_for(key),
-        };
+        let key: Vec<u32> = keywords.iter_ones().map(|b| b as u32).collect();
+        let class = self.class_for(&key);
         let members = &mut self.classes[class as usize].members;
         match members.last() {
             Some(&last) if last > task => {
@@ -269,7 +366,7 @@ impl InvertedIndex {
         }
         self.class_of[task as usize] = class;
         self.docs += 1;
-        Some(class)
+        true
     }
 
     /// Drop a task (assigned or completed). Returns `false` when the task
@@ -419,23 +516,26 @@ impl StateSerialize for InvertedIndex {
                 fill[task as usize] += 1;
             }
         }
+        let keys = doc_len
+            .iter()
+            .enumerate()
+            .filter(|&(_, &len)| len != ABSENT)
+            .map(|(task, _)| (task as u32, &keywords[start[task]..start[task + 1]]));
+        if let Some((task, _)) = keys
+            .clone()
+            .find(|(_, key)| key.windows(2).any(|w| w[0] == w[1]))
+        {
+            return Err(invalid(format!(
+                "task {task} is listed twice under a keyword"
+            )));
+        }
         let mut index = Self::new(nbits);
         index.class_of = vec![ABSENT; doc_len.len()];
-        for (task, &len) in doc_len.iter().enumerate() {
-            if len == ABSENT {
-                continue;
-            }
-            let key = &keywords[start[task]..start[task + 1]];
-            if key.windows(2).any(|w| w[0] == w[1]) {
-                return Err(invalid(format!(
-                    "task {task} is listed twice under a keyword"
-                )));
-            }
-            let class = index.class_for(key);
-            index.classes[class as usize].members.push(task as u32);
-            index.class_of[task] = class;
-        }
-        index.docs = docs;
+        // Snapshot bytes come from disk: keep SipHash's collision defence.
+        index.fill_grouped(keys, RandomState::new(), |key, ids| {
+            ids.extend_from_slice(key)
+        });
+        debug_assert_eq!(index.docs, docs);
         Ok(index)
     }
 }
@@ -674,6 +774,84 @@ mod tests {
         assert!(bulk.insert(902, &vecs[902]));
         assert_eq!(content(&bulk), content(&incr));
         assert_postings_consistent(&bulk);
+    }
+
+    proptest::proptest! {
+        /// `build` ≡ a sequential `insert` pass, structure and answers
+        /// alike, on duplicate-heavy catalogs (four keyword sets, the
+        /// empty one included) and all-distinct ones, with unsorted and
+        /// duplicate task ids and vectors narrower than the universe; and
+        /// `read_state` of its bytes rebuilds what a sequential pass over
+        /// the open tasks in ascending id order builds.
+        #[test]
+        fn build_equals_sequential_insert(
+            nbits in 1usize..150,
+            distinct in 0u8..2,
+            raw in proptest::collection::vec(
+                (0u32..80, proptest::collection::vec(0usize..1000, 0..5), 0usize..1000, 0usize..4),
+                0..60,
+            ),
+            workers in proptest::collection::vec(
+                proptest::collection::vec(0usize..1000, 1..5),
+                1..4,
+            ),
+            k in 1usize..12,
+        ) {
+            let palette = |c: usize| -> Vec<usize> {
+                match c {
+                    3 => Vec::new(),
+                    c => vec![(c * 37) % nbits, (c * 53 + 7) % nbits],
+                }
+            };
+            let tasks: Vec<(u32, KeywordVec)> = raw
+                .iter()
+                .map(|(id, picks, width, class)| {
+                    let bits: Vec<usize> = if distinct == 1 {
+                        picks.iter().map(|p| p % nbits).collect()
+                    } else {
+                        palette(*class)
+                    };
+                    let min = bits.iter().max().map_or(0, |&b| b + 1);
+                    (*id, kw(min + width % (nbits - min + 1), &bits))
+                })
+                .collect();
+            let pairs: Vec<(u32, &KeywordVec)> = tasks.iter().map(|(id, v)| (*id, v)).collect();
+            let bulk = InvertedIndex::build(nbits, &pairs);
+            let mut seq = InvertedIndex::new(nbits);
+            for &(id, v) in &pairs {
+                seq.insert(id, v);
+            }
+            proptest::prop_assert_eq!(&bulk, &seq);
+            let bytes = hta_core::state::encode(&bulk);
+            proptest::prop_assert_eq!(&bytes, &hta_core::state::encode(&seq));
+            // A read rebuilds classes in ascending task order.
+            let restored: InvertedIndex = hta_core::state::decode(&bytes).unwrap();
+            let mut ascending = InvertedIndex::new(nbits);
+            for (task, keywords) in content(&seq) {
+                let bits: Vec<usize> = keywords.iter().map(|&b| b as usize).collect();
+                ascending.insert(task, &kw(nbits, &bits));
+            }
+            proptest::prop_assert_eq!(&restored, &ascending);
+
+            let workers: Vec<hta_core::Worker> = workers
+                .iter()
+                .enumerate()
+                .map(|(i, picks)| {
+                    let bits: Vec<usize> = picks.iter().map(|p| p % nbits).collect();
+                    hta_core::Worker::new(hta_core::WorkerId(i as u32), kw(nbits, &bits))
+                })
+                .collect();
+            for w in &workers {
+                proptest::prop_assert_eq!(bulk.top_k(&w.keywords, k), seq.top_k(&w.keywords, k));
+            }
+            let params = crate::PoolParams::with_k(k);
+            let pool = |idx| {
+                crate::CandidatePool::generate(idx, &workers, 3, &params)
+                    .members()
+                    .to_vec()
+            };
+            proptest::prop_assert_eq!(pool(&bulk), pool(&seq));
+        }
     }
 
     #[test]
