@@ -132,6 +132,21 @@ impl KeywordVec {
         })
     }
 
+    /// The same keywords over a universe of `nbits ≥ self.nbits()`: keyword
+    /// ids are stable, so widening only appends zero bits.
+    ///
+    /// # Panics
+    /// Panics if `nbits` is smaller than the vector's width.
+    pub fn widened(&self, nbits: usize) -> Self {
+        assert!(
+            nbits >= self.nbits,
+            "vector wider than the keyword universe"
+        );
+        let mut blocks = self.blocks.clone();
+        blocks.resize(nbits.div_ceil(64), 0);
+        Self { nbits, blocks }
+    }
+
     /// The raw 64-bit blocks (little-endian bit order within a block); every
     /// bit at or above `nbits` is zero.
     #[inline]
@@ -196,6 +211,15 @@ mod tests {
         let v = KeywordVec::from_indices(8, &[1, 3, 5]);
         let ones: Vec<usize> = v.iter_ones().collect();
         assert_eq!(ones, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn widened_equals_a_rebuild_over_the_wider_universe() {
+        let v = KeywordVec::from_indices(60, &[0, 7, 59]);
+        for nbits in [60, 64, 65, 130] {
+            let want = KeywordVec::from_indices(nbits, &[0, 7, 59]);
+            assert_eq!(v.widened(nbits), want);
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::bitvec::KeywordVec;
+use crate::edges::keywords_fingerprint;
 use crate::error::HtaError;
-use crate::instance::Instance;
 use crate::metric::{Distance, Jaccard};
-use crate::session::OpenSetSession;
+use crate::session::{OpenSetSession, Round};
 use crate::solver::Solver;
-use crate::task::{Task, TaskId, TaskPool};
+use crate::task::{TaskId, TaskPool};
 use crate::worker::{Weights, Worker, WorkerId, WorkerPool};
 
 /// One iteration's outcome, in *global* ids.
@@ -34,33 +34,6 @@ pub struct IterationResult {
     pub remaining_tasks: usize,
 }
 
-/// A pluggable candidate-generation stage: given one iteration's frozen
-/// tasks `T^i` and workers `W^i`, pick the subset of task indices worth
-/// handing to the solver.
-///
-/// This is the seam that makes per-iteration assignment sub-quadratic: a
-/// retrieval structure (e.g. `hta-index`'s inverted keyword index) returns a
-/// small, high-value candidate pool and the solver never materializes the
-/// full `|T| × |T|` diversity structure. Returning `None` means "solve over
-/// everything" (the dense path).
-///
-/// Contract: returned indices must be in-bounds for `tasks`; duplicates are
-/// ignored. Generators should return at least `min(|tasks|,
-/// |workers| · xmax)` candidates so a full assignment stays feasible.
-pub trait CandidateGenerator: Send {
-    /// Select candidate indices into `tasks`, or `None` for the dense path.
-    fn select(&mut self, tasks: &[Task], workers: &[Worker], xmax: usize) -> Option<Vec<usize>>;
-}
-
-impl<F> CandidateGenerator for F
-where
-    F: FnMut(&[Task], &[Worker], usize) -> Option<Vec<usize>> + Send,
-{
-    fn select(&mut self, tasks: &[Task], workers: &[Worker], xmax: usize) -> Option<Vec<usize>> {
-        self(tasks, workers, xmax)
-    }
-}
-
 /// The pool's task keyword vectors, in catalog order.
 fn keywords(tasks: &TaskPool) -> Vec<&KeywordVec> {
     tasks.tasks().iter().map(|t| &t.keywords).collect()
@@ -74,7 +47,9 @@ pub struct IterationEngine {
     distance: Arc<dyn Distance + Send + Sync>,
     available: Vec<bool>,
     iteration: usize,
-    candidates: Option<Box<dyn CandidateGenerator>>,
+    /// [`keywords_fingerprint`] of `tasks`, which never change after
+    /// construction: the session is revalidated against it.
+    fingerprint: u64,
     /// Edge source and warm state of the per-iteration solves (`Off` until
     /// one of the `enable_*` methods runs).
     session: OpenSetSession,
@@ -104,6 +79,7 @@ impl IterationEngine {
             return Err(HtaError::NonMetricDistance(distance.name()));
         }
         let available = vec![true; tasks.len()];
+        let fingerprint = keywords_fingerprint(tasks.tasks().iter().map(|t| &t.keywords));
         Ok(Self {
             tasks,
             workers,
@@ -111,7 +87,7 @@ impl IterationEngine {
             distance,
             available,
             iteration: 0,
-            candidates: None,
+            fingerprint,
             session: OpenSetSession::Off,
         })
     }
@@ -195,18 +171,6 @@ impl IterationEngine {
         self.session.sparse_cache().is_some()
     }
 
-    /// Install a candidate-generation stage (sparse mode). Subsequent
-    /// iterations solve over the generator's selection instead of every
-    /// available task.
-    pub fn set_candidate_generator(&mut self, generator: Box<dyn CandidateGenerator>) {
-        self.candidates = Some(generator);
-    }
-
-    /// Remove the candidate-generation stage (back to the dense path).
-    pub fn clear_candidate_generator(&mut self) {
-        self.candidates = None;
-    }
-
     /// Tasks still available for assignment.
     pub fn remaining_tasks(&self) -> usize {
         self.available.iter().filter(|&&a| a).count()
@@ -276,19 +240,8 @@ impl IterationEngine {
         if available_workers.is_empty() {
             return Err(HtaError::NoWorkers);
         }
-        // Freeze T^i: the available tasks, with a local->global index map.
-        let mut local_to_global: Vec<TaskId> = Vec::new();
-        let mut local_tasks: Vec<Task> = Vec::new();
-        for task in self.tasks.tasks() {
-            if self.available[task.id.0 as usize] {
-                local_to_global.push(task.id);
-                let mut t = task.clone();
-                t.id = TaskId(local_tasks.len() as u32);
-                local_tasks.push(t);
-            }
-        }
         // Freeze W^i.
-        let local_workers: Vec<Worker> = available_workers
+        let workers: Vec<Worker> = available_workers
             .iter()
             .enumerate()
             .map(|(i, &wid)| {
@@ -296,66 +249,33 @@ impl IterationEngine {
                 Worker::new(WorkerId(i as u32), w.keywords.clone()).with_weights(w.weights)
             })
             .collect();
-
-        // Candidate generation: shrink T^i to the generator's selection so
-        // the solver works on a pool-local instance.
-        if let Some(generator) = self.candidates.as_mut() {
-            if let Some(selected) = generator.select(&local_tasks, &local_workers, self.xmax) {
-                let mut keep: Vec<usize> = selected
-                    .into_iter()
-                    .filter(|&i| i < local_tasks.len())
-                    .collect();
-                keep.sort_unstable();
-                keep.dedup();
-                let mut pool_tasks = Vec::with_capacity(keep.len());
-                let mut pool_to_global = Vec::with_capacity(keep.len());
-                for (pool_idx, &local_idx) in keep.iter().enumerate() {
-                    let mut t = local_tasks[local_idx].clone();
-                    t.id = TaskId(pool_idx as u32);
-                    pool_tasks.push(t);
-                    pool_to_global.push(local_to_global[local_idx]);
-                }
-                if !pool_tasks.is_empty() {
-                    local_tasks = pool_tasks;
-                    local_to_global = pool_to_global;
-                }
-            }
-        }
-
-        let inst = Instance::with_distance(
-            local_tasks,
-            local_workers,
-            self.xmax,
-            Arc::clone(&self.distance),
-            false,
-        )?;
-        // The frozen tasks' global indices ascend (pool order, and candidate
-        // selection keeps them sorted), so the session's edge reuse applies;
-        // its guards fall back to a fresh solve if that ever breaks. The
-        // cache is only trusted while its catalog fingerprint still matches
-        // the pool (catalog swapped or restored from elsewhere).
-        let keywords = keywords(&self.tasks);
-        self.session
-            .revalidate(&keywords, self.distance.as_ref(), 0);
-        let open: Vec<usize> = local_to_global.iter().map(|t| t.0 as usize).collect();
-        let members: Vec<u32> = local_to_global.iter().map(|t| t.0).collect();
-        let dist = self.distance.as_ref();
-        self.session.refresh_pool(&members, |u, v| {
-            dist.dist(keywords[u as usize], keywords[v as usize])
-        });
-        let out = self.session.solve(solver, &inst, &open, rng);
-        out.assignment.validate(&inst)?;
-        let objective = out.assignment.objective(&inst);
+        // Freeze T^i: every available task, in ascending catalog order, so
+        // the session's edge reuse applies. The cache is only trusted while
+        // its catalog fingerprint still matches the pool (a cache planted
+        // from elsewhere, or a sparse cache not yet bound).
+        let members: Vec<u32> = (0..self.tasks.len() as u32)
+            .filter(|&t| self.available[t as usize])
+            .collect();
+        self.session.revalidate(
+            self.fingerprint,
+            || keywords(&self.tasks),
+            self.distance.as_ref(),
+            0,
+        );
+        let tasks = &self.tasks;
+        let round = Round {
+            workers,
+            task: &|t| tasks.get(TaskId(t)),
+            xmax: self.xmax,
+            distance: Arc::clone(&self.distance),
+            solver,
+        };
+        let out = self.session.solve_round(members, round, rng)?;
 
         // Commit: drop assigned tasks from the pool.
         let mut assignments = Vec::with_capacity(available_workers.len());
         for (qi, &wid) in available_workers.iter().enumerate() {
-            let globals: Vec<TaskId> = out
-                .assignment
-                .tasks_of(qi)
-                .iter()
-                .map(|&local| local_to_global[local])
-                .collect();
+            let globals: Vec<TaskId> = out.tasks_of(qi).map(TaskId).collect();
             for &g in &globals {
                 self.available[g.0 as usize] = false;
             }
@@ -365,7 +285,7 @@ impl IterationEngine {
         let result = IterationResult {
             iteration: self.iteration,
             assignments,
-            objective,
+            objective: out.objective(),
             remaining_tasks: self.remaining_tasks(),
         };
         self.iteration += 1;
@@ -690,49 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_generator_limits_the_solve() {
-        let mut engine = setup(20, 2, 3);
-        // Keep only the first |W|·X_max frozen tasks: with 2 workers and
-        // xmax 3 the solver sees a 6-task pool and must assign all of it.
-        engine.set_candidate_generator(Box::new(
-            |tasks: &[Task], workers: &[Worker], xmax: usize| {
-                Some((0..(workers.len() * xmax).min(tasks.len())).collect())
-            },
-        ));
-        let mut rng = StdRng::seed_from_u64(6);
-        let r = engine.run_iteration(&HtaGre::new(), &mut rng).unwrap();
-        let assigned: Vec<TaskId> = r
-            .assignments
-            .iter()
-            .flat_map(|(_, ts)| ts.iter().copied())
-            .collect();
-        assert_eq!(assigned.len(), 6);
-        // The pool was the first six available tasks, so every assignment
-        // must map back into that prefix of the global catalog.
-        assert!(assigned.iter().all(|t| t.0 < 6), "{assigned:?}");
-
-        // The dense path returns after clearing the generator.
-        engine.clear_candidate_generator();
-        let r2 = engine.run_iteration(&HtaGre::new(), &mut rng).unwrap();
-        let n2: usize = r2.assignments.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(n2, 6);
-    }
-
-    #[test]
-    fn empty_candidate_selection_falls_back_to_dense() {
-        let mut engine = setup(9, 1, 2);
-        engine.set_candidate_generator(Box::new(|_: &[Task], _: &[Worker], _: usize| {
-            Some(Vec::new())
-        }));
-        let mut rng = StdRng::seed_from_u64(7);
-        // An empty pool would make every iteration a no-op; the engine
-        // treats it as "no selection" and solves densely instead.
-        let r = engine.run_iteration(&HtaGre::new(), &mut rng).unwrap();
-        let n: usize = r.assignments.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(n, 2);
-    }
-
-    #[test]
     fn edge_reuse_is_byte_identical_across_iterations() {
         let solver = HtaGre::new().with_threads(1);
         let mut plain = setup(30, 2, 3);
@@ -810,96 +687,6 @@ mod tests {
         let a = plain.run_iteration(&cold_solver, &mut rng_a).unwrap();
         let b = sparse.run_iteration(&solver, &mut rng_b).unwrap();
         assert_eq!(a.assignments, b.assignments);
-    }
-
-    #[test]
-    fn sparse_warm_start_composes_with_candidate_generation() {
-        // The generator's pool shifts between iterations (locals map to
-        // different globals as tasks drop out), driving real member churn
-        // through the sparse cache's delta-refresh path.
-        let solver = HtaGre::new().with_threads(1);
-        let generator = || {
-            Box::new(|tasks: &[Task], workers: &[Worker], xmax: usize| {
-                Some(
-                    (0..tasks.len())
-                        .step_by(2)
-                        .take((workers.len() * xmax) * 2)
-                        .collect(),
-                )
-            })
-        };
-        let mut plain = setup(24, 2, 2);
-        plain.set_candidate_generator(generator());
-        let mut sparse = setup(24, 2, 2);
-        sparse.set_candidate_generator(generator());
-        sparse.enable_sparse_warm_start();
-        let mut rng_a = StdRng::seed_from_u64(29);
-        let mut rng_b = StdRng::seed_from_u64(29);
-        for _ in 0..3 {
-            let a = plain.run_iteration(&solver, &mut rng_a).unwrap();
-            let b = sparse.run_iteration(&solver, &mut rng_b).unwrap();
-            assert_eq!(a.assignments, b.assignments);
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_start_composes_with_candidate_generation() {
-        // Candidate selection shrinks the open set below the full available
-        // pool; the warm path must still agree with the cold path (the open
-        // subset stays sorted, so it repairs rather than falling back).
-        let solver = HtaGre::new().with_threads(1);
-        let generator = || {
-            Box::new(|tasks: &[Task], workers: &[Worker], xmax: usize| {
-                Some(
-                    (0..tasks.len())
-                        .step_by(2)
-                        .take((workers.len() * xmax) * 2)
-                        .collect(),
-                )
-            })
-        };
-        let mut plain = setup(24, 2, 2);
-        plain.set_candidate_generator(generator());
-        let mut warmed = setup(24, 2, 2);
-        warmed.set_candidate_generator(generator());
-        warmed.enable_warm_start(0);
-        let mut rng_a = StdRng::seed_from_u64(29);
-        let mut rng_b = StdRng::seed_from_u64(29);
-        for _ in 0..3 {
-            let a = plain.run_iteration(&solver, &mut rng_a).unwrap();
-            let b = warmed.run_iteration(&solver, &mut rng_b).unwrap();
-            assert_eq!(a.assignments, b.assignments);
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        }
-    }
-
-    #[test]
-    fn edge_reuse_composes_with_candidate_generation() {
-        let solver = HtaGre::new().with_threads(1);
-        let generator = || {
-            Box::new(|tasks: &[Task], workers: &[Worker], xmax: usize| {
-                // Every other frozen task, capped well above |W|·xmax.
-                Some(
-                    (0..tasks.len())
-                        .step_by(2)
-                        .take((workers.len() * xmax) * 2)
-                        .collect(),
-                )
-            })
-        };
-        let mut plain = setup(24, 2, 2);
-        plain.set_candidate_generator(generator());
-        let mut reusing = setup(24, 2, 2);
-        reusing.set_candidate_generator(generator());
-        reusing.enable_edge_reuse(0);
-        let mut rng_a = StdRng::seed_from_u64(23);
-        let mut rng_b = StdRng::seed_from_u64(23);
-        for _ in 0..3 {
-            let a = plain.run_iteration(&solver, &mut rng_a).unwrap();
-            let b = reusing.run_iteration(&solver, &mut rng_b).unwrap();
-            assert_eq!(a.assignments, b.assignments);
-        }
     }
 
     #[test]

@@ -92,12 +92,7 @@ impl KeywordSpace {
     /// # Panics
     /// Panics if `v` is *wider* than the universe.
     pub fn widen(&self, v: &KeywordVec) -> KeywordVec {
-        assert!(
-            v.nbits() <= self.len(),
-            "vector wider than the keyword universe"
-        );
-        let indices: Vec<usize> = v.iter_ones().collect();
-        KeywordVec::from_indices(self.len(), &indices)
+        v.widened(self.len())
     }
 }
 

@@ -89,11 +89,11 @@ pub use edges::{keywords_fingerprint, DiversityEdgeCache};
 pub use error::HtaError;
 pub use hta_matching::WeightedEdge;
 pub use instance::Instance;
-pub use iteration::{CandidateGenerator, IterationEngine, IterationResult};
+pub use iteration::{IterationEngine, IterationResult};
 pub use kernels::{PackedCatalog, SimdMode};
 pub use keywords::{KeywordId, KeywordSpace};
 pub use metric::{Distance, Jaccard};
-pub use session::{EdgeSource, OpenSetSession};
+pub use session::{EdgeSource, OpenSetSession, Round, RoundOutcome};
 pub use solver::{SolveOutcome, Solver};
 pub use sparse::{SparseDelta, SparseEdgeCache, SparseRefreshStats};
 pub use state::{StateDecodeError, StateReader, StateSerialize};
@@ -107,7 +107,7 @@ pub mod prelude {
     pub use crate::bitvec::KeywordVec;
     pub use crate::error::HtaError;
     pub use crate::instance::Instance;
-    pub use crate::iteration::{CandidateGenerator, IterationEngine, IterationResult};
+    pub use crate::iteration::{IterationEngine, IterationResult};
     pub use crate::keywords::{KeywordId, KeywordSpace};
     pub use crate::metric::{Dice, Distance, Hamming, Jaccard, WeightedJaccard};
     pub use crate::motivation::{motivation, task_diversity, task_relevance};

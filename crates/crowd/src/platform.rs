@@ -10,16 +10,17 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use hta_core::metric::Jaccard;
 use hta_core::solver::{HtaGre, WarmState};
 use hta_core::{
-    EdgeSource, Instance, KeywordVec, OpenSetSession, Solver, SparseEdgeCache, Task, TaskId,
-    WeightEstimator, Weights, Worker, WorkerId,
+    EdgeSource, KeywordVec, OpenSetSession, Round, Solver, SparseEdgeCache, WeightEstimator,
+    Weights, Worker, WorkerId,
 };
 use hta_datagen::crowdflower::{CrowdflowerCatalog, KINDS};
 use hta_datagen::quality::QualityModel;
-use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
+use hta_index::{assign_round, CandidateMode, FullWindow, InvertedIndex};
 use hta_life::{LifeOutcome, LifecycleBook, PriorityMix, Reputation};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -294,8 +295,8 @@ fn open_set_session(catalog: &CrowdflowerCatalog, cfg: &PlatformConfig) -> OpenS
         cfg.warm_start,
         cfg.candidates.top_k(),
     );
-    let keywords: Vec<&KeywordVec> = catalog.tasks.iter().map(|t| &t.task.keywords).collect();
-    OpenSetSession::new(source, &keywords, &Jaccard, cfg.solver_threads)
+    let keywords = catalog.tasks.iter().map(|t| &t.task.keywords);
+    OpenSetSession::new(source, keywords, &Jaccard, cfg.solver_threads)
 }
 
 impl<'c> Platform<'c> {
@@ -1121,70 +1122,33 @@ impl<'c> Platform<'c> {
             })
             .collect();
 
-        // Candidate selection over the open tasks.
-        let open: Vec<usize> = match self.cfg.candidates {
-            CandidateMode::Full => {
-                // Dense window, uniformly sampled when oversized.
-                let mut open: Vec<usize> = (0..self.available.len())
-                    .filter(|&i| self.available[i])
-                    .collect();
-                if open.len() > self.cfg.max_instance_tasks {
-                    // Uniform sample without replacement (partial Fisher-Yates).
-                    for i in 0..self.cfg.max_instance_tasks {
-                        let j = rng.random_range(i..open.len());
-                        open.swap(i, j);
-                    }
-                    open.truncate(self.cfg.max_instance_tasks);
-                }
-                open
-            }
-            CandidateMode::TopK(k) => {
-                let pool = CandidatePool::generate(
-                    &self.index,
-                    &local_workers,
-                    self.cfg.xmax,
-                    &PoolParams::with_k(k),
-                );
-                // Sparse sessions refresh their edge cache over the new
-                // pool: weights are computed only for pairs touching added
-                // members. A no-op for every other session.
-                let catalog = self.catalog;
-                self.session.refresh_pool(pool.members(), |u, v| {
-                    hta_core::kernels::jaccard_distance(
-                        &catalog.tasks[u as usize].task.keywords,
-                        &catalog.tasks[v as usize].task.keywords,
-                    )
-                });
-                pool.members().iter().map(|&t| t as usize).collect()
-            }
+        let catalog = self.catalog;
+        let round = Round {
+            workers: local_workers,
+            task: &|t| &catalog.tasks[t as usize].task,
+            xmax: self.cfg.xmax,
+            distance: Arc::new(Jaccard),
+            solver: &*self.solver,
         };
-        if open.is_empty() {
+        // Full mode samples `max_instance_tasks` open tasks uniformly when
+        // more are open. The sample is unsorted, so the session's guards
+        // then solve without edge reuse, byte-identically.
+        let Some(out) = assign_round(
+            &mut self.session,
+            self.cfg.candidates,
+            FullWindow::Sample(self.cfg.max_instance_tasks),
+            &self.index,
+            &self.available,
+            round,
+            rng,
+        )
+        .expect("platform instances are well-formed") else {
             return;
-        }
-
-        let local_tasks: Vec<Task> = open
-            .iter()
-            .enumerate()
-            .map(|(li, &ci)| {
-                let t = &self.catalog.tasks[ci].task;
-                Task::new(TaskId(li as u32), t.group, t.keywords.clone())
-            })
-            .collect();
-
-        let inst = Instance::new(local_tasks, local_workers, self.cfg.xmax)
-            .expect("platform instances are well-formed");
-        // Edge reuse needs the open indices in strictly increasing catalog
-        // order (so the filtered sublist of the global sorted list equals a
-        // fresh enumerate-and-sort). Full mode delivers that unless the
-        // window was down-sampled (partial Fisher-Yates shuffles it); TopK
-        // pools are sorted by construction. The session's guards check this
-        // and fall back to a plain solve otherwise; byte-identical either way.
-        let out = self.session.solve(&*self.solver, &inst, &open, rng);
-        debug_assert!(out.assignment.validate(&inst).is_ok());
+        };
 
         for (li, &slot) in slots.iter().enumerate() {
-            for &local in out.assignment.tasks_of(li) {
-                let ci = open[local];
+            for ci in out.tasks_of(li) {
+                let ci = ci as usize;
                 debug_assert!(self.available[ci]);
                 self.take_task(ci);
                 self.life_assign(ci, now_global);

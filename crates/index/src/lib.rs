@@ -18,9 +18,10 @@
 //!   [`hta_core::Instance`] with a back-to-catalog map. Every solve takes
 //!   a fresh pool from [`CandidatePool::generate`]: a pool is a pure
 //!   function of the live index and the cohort;
-//! * [`SparseCandidateGenerator`] — plugs the whole pipeline into
-//!   [`hta_core::IterationEngine`] via the
-//!   [`hta_core::CandidateGenerator`] hook.
+//! * [`assign_round`] — one assignment round: members by
+//!   [`CandidateMode`] (top-k pool, or a [`FullWindow`] of the open tasks),
+//!   then [`hta_core::OpenSetSession::solve_round`] over them. The crowd
+//!   platform and the server both assign through it.
 //!
 //! The solvers then run on `O(|W| · k)` tasks instead of `|T|`, making each
 //! assignment request sub-quadratic in the catalog size.
@@ -29,12 +30,11 @@
 
 pub mod inverted;
 pub mod pool;
+pub mod round;
 
-mod engine;
-
-pub use engine::SparseCandidateGenerator;
 pub use inverted::InvertedIndex;
 pub use pool::{CandidateMode, CandidatePool, PoolParams};
+pub use round::{assign_round, FullWindow};
 
 /// Always 1: the index is one flat structure. Kept only because the
 /// end-to-end benchmark's `machine` line reports it, and that harness

@@ -196,6 +196,11 @@ impl CandidatePool {
         &self.members
     }
 
+    /// The members, ascending, without a copy.
+    pub(crate) fn into_members(self) -> Vec<u32> {
+        self.members
+    }
+
     /// Number of pool members.
     pub fn len(&self) -> usize {
         self.members.len()

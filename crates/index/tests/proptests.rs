@@ -14,7 +14,8 @@
 
 use hta_core::prelude::*;
 use hta_core::state::{decode, encode};
-use hta_index::{InvertedIndex, SparseCandidateGenerator};
+use hta_core::{OpenSetSession, Round};
+use hta_index::{assign_round, CandidateMode, FullWindow, InvertedIndex};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -405,12 +406,32 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15EA5E);
         let dense_obj = dense.run_iteration(&HtaGre::new(), &mut rng).unwrap().objective;
 
-        let mut sparse = IterationEngine::new(tasks, workers, xmax).unwrap();
-        // Retrieval depth = xmax: each worker's pool share can fill its
-        // capacity with its own most relevant tasks.
-        sparse.set_candidate_generator(Box::new(SparseCandidateGenerator::new(xmax)));
+        // The shared assignment round over a top-k pool. Retrieval depth =
+        // xmax: each worker's pool share can fill its capacity with its own
+        // most relevant tasks.
+        let pairs: Vec<(u32, &KeywordVec)> =
+            tasks.tasks().iter().map(|t| (t.id.0, &t.keywords)).collect();
+        let index = InvertedIndex::build(20, &pairs);
+        let round = Round {
+            workers: workers.workers().to_vec(),
+            task: &|t| tasks.get(TaskId(t)),
+            xmax,
+            distance: std::sync::Arc::new(Jaccard),
+            solver: &HtaGre::new(),
+        };
         let mut rng = StdRng::seed_from_u64(seed ^ 0xD15EA5E);
-        let sparse_obj = sparse.run_iteration(&HtaGre::new(), &mut rng).unwrap().objective;
+        let sparse_obj = assign_round(
+            &mut OpenSetSession::Off,
+            CandidateMode::TopK(xmax),
+            FullWindow::All,
+            &index,
+            &vec![true; tasks.len()],
+            round,
+            &mut rng,
+        )
+        .unwrap()
+        .expect("a task is open")
+        .objective();
 
         // Eq. 3 is evaluated on the assigned tasks only, so pool-local and
         // full-instance objectives are directly comparable.

@@ -2,15 +2,15 @@
 //! their adaptive weight estimators, the keyword index over open
 //! tasks, and the assignment ledger — the data behind the Figure 4 workflow.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hta_core::adaptive::WeightEstimator;
 use hta_core::solver::HtaGre;
 use hta_core::{
-    EdgeSource, Instance, Jaccard, KeywordSpace, KeywordVec, OpenSetSession, Task, TaskId,
-    TaskPool, Weights, Worker, WorkerId,
+    EdgeSource, Jaccard, KeywordSpace, KeywordVec, OpenSetSession, Round, TaskId, TaskPool,
+    Weights, Worker, WorkerId,
 };
-use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
+use hta_index::{assign_round, CandidateMode, FullWindow, InvertedIndex};
 use hta_life::Reputation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,8 +163,38 @@ impl Inner {
             self.warm_start,
             self.mode.top_k(),
         );
-        let keywords: Vec<&KeywordVec> = self.tasks.tasks().iter().map(|t| &t.keywords).collect();
-        OpenSetSession::new(source, &keywords, &Jaccard, self.solver_threads)
+        let keywords = self.tasks.tasks().iter().map(|t| &t.keywords);
+        OpenSetSession::new(source, keywords, &Jaccard, self.solver_threads)
+    }
+
+    /// `kw` over the current keyword universe: registration may have
+    /// widened it since the vector was built.
+    fn widened(&self, kw: &KeywordVec) -> KeywordVec {
+        if kw.nbits() == self.space.len() {
+            kw.clone()
+        } else {
+            self.space.widen(kw)
+        }
+    }
+
+    /// The Full-mode window of every assignment and `/candidates` preview:
+    /// the `max_instance_tasks` lowest open ids.
+    fn window(&self) -> FullWindow {
+        FullWindow::First(self.max_instance_tasks)
+    }
+
+    /// The validated `cohort` as a round's local workers: widened keywords
+    /// and the current weight estimates.
+    fn local_workers(&self, cohort: &[usize]) -> Vec<Worker> {
+        cohort
+            .iter()
+            .enumerate()
+            .map(|(li, &w)| {
+                let w = &self.workers[w];
+                Worker::new(WorkerId(li as u32), self.widened(&w.keywords))
+                    .with_weights(w.estimator.estimate())
+            })
+            .collect()
     }
 
     /// Take a task off the open pool: availability and the keyword index
@@ -379,8 +409,9 @@ impl PlatformState {
             .collect()
     }
 
-    /// One pool-and-solve for `cohort` against already-locked state; the
-    /// shared body of every assignment entry point.
+    /// One assignment round for `cohort` against already-locked state: one
+    /// shared candidate pool and one joint solve. The shared body of every
+    /// assignment entry point.
     fn assign_locked(inner: &mut Inner, cohort: &[usize]) -> Result<Vec<AssignResult>, StateError> {
         for &w in cohort {
             if w >= inner.workers.len() {
@@ -394,98 +425,47 @@ impl PlatformState {
             Some(session) => session,
             None => inner.derive_session(),
         };
-        let results = Self::pool_and_solve(inner, &mut session, cohort);
-        inner.session = Some(session);
-        Ok(results)
-    }
-
-    /// The pool and the joint solve for a validated, non-empty `cohort`.
-    fn pool_and_solve(
-        inner: &mut Inner,
-        session: &mut OpenSetSession,
-        cohort: &[usize],
-    ) -> Vec<AssignResult> {
-        let width = inner.space.len();
-        let mut weights = Vec::with_capacity(cohort.len());
-        let mut local_workers = Vec::with_capacity(cohort.len());
-        for (li, &w) in cohort.iter().enumerate() {
-            let est = inner.workers[w].estimator.estimate();
-            let kw = if inner.workers[w].keywords.nbits() == width {
-                inner.workers[w].keywords.clone()
-            } else {
-                inner.space.widen(&inner.workers[w].keywords)
-            };
-            weights.push(est);
-            local_workers.push(Worker::new(WorkerId(li as u32), kw).with_weights(est));
-        }
+        let workers = inner.local_workers(cohort);
+        let weights: Vec<Weights> = workers.iter().map(|w| w.weights).collect();
         // One shared candidate pool for the whole cohort: the sparse path
         // unions every member's top-k and tops up to the joint feasibility
-        // floor `min(|open|, |cohort|·xmax)`.
-        let open: Vec<usize> = match inner.mode {
-            CandidateMode::Full => (0..inner.available.len())
-                .filter(|&i| inner.available[i])
-                .take(inner.max_instance_tasks)
-                .collect(),
-            CandidateMode::TopK(k) => {
-                let pool = CandidatePool::generate(
-                    &inner.index,
-                    &local_workers,
-                    inner.xmax,
-                    &PoolParams::with_k(k),
-                );
-                // A sparse session refreshes its edge cache over the pool
-                // (a no-op for every other session). Weights run over the
-                // *stored* task vectors: widening appends zero bits, which
-                // changes no popcount, so they are bit-equal to the pool
-                // instance's diversity values.
-                let tasks = &inner.tasks;
-                session.refresh_pool(pool.members(), |u, v| {
-                    hta_core::kernels::jaccard_distance(
-                        &tasks.get(TaskId(u)).keywords,
-                        &tasks.get(TaskId(v)).keywords,
-                    )
-                });
-                pool.members().iter().map(|&t| t as usize).collect()
-            }
-        };
-        if open.is_empty() {
-            return weights
-                .iter()
-                .map(|w| AssignResult {
-                    tasks: Vec::new(),
-                    alpha: w.alpha(),
-                    beta: w.beta(),
-                })
-                .collect();
-        }
-        let local_tasks: Vec<Task> = open
-            .iter()
-            .enumerate()
-            .map(|(li, &ci)| {
-                let t = inner.tasks.get(TaskId(ci as u32));
-                let kw = if t.keywords.nbits() == width {
-                    t.keywords.clone()
-                } else {
-                    inner.space.widen(&t.keywords)
-                };
-                Task::new(TaskId(li as u32), t.group, kw)
-            })
-            .collect();
-        let xmax = inner.xmax;
-        let inst = Instance::new(local_tasks, local_workers, xmax)
-            .expect("constructed instances are well-formed");
+        // floor `min(|open|, |cohort|·xmax)`. Instance and pool weights run
+        // over the *stored* task vectors, widened to the workers' universe
+        // for the instance only: widening appends zero bits, which changes
+        // no popcount.
         let solver = HtaGre::structured()
             .without_flip()
             .with_threads(inner.solver_threads);
-        let out = session.solve(&solver, &inst, &open, &mut inner.rng);
+        let tasks = &inner.tasks;
+        let round = Round {
+            workers,
+            task: &|t| tasks.get(TaskId(t)),
+            xmax: inner.xmax,
+            distance: Arc::new(Jaccard),
+            solver: &solver,
+        };
+        let out = assign_round(
+            &mut session,
+            inner.mode,
+            inner.window(),
+            &inner.index,
+            &inner.available,
+            round,
+            &mut inner.rng,
+        )
+        .expect("constructed instances are well-formed");
+        inner.session = Some(session);
 
         let mut results = Vec::with_capacity(cohort.len());
         for (li, (&w, est)) in cohort.iter().zip(&weights).enumerate() {
-            let mut assigned = Vec::new();
-            for &local in out.assignment.tasks_of(li) {
-                let ci = open[local];
+            // Nothing open (`None`): every member gets an empty set.
+            let assigned: Vec<usize> = out
+                .iter()
+                .flat_map(|out| out.tasks_of(li))
+                .map(|ci| ci as usize)
+                .collect();
+            for &ci in &assigned {
                 inner.close_task(ci);
-                assigned.push(ci);
             }
             inner.workers[w].assigned.extend(&assigned);
             results.push(AssignResult {
@@ -494,7 +474,7 @@ impl PlatformState {
                 beta: est.beta(),
             });
         }
-        results
+        Ok(results)
     }
 
     /// Record a completion (Figure 4's "Notify t completed by w"): updates
@@ -527,22 +507,11 @@ impl PlatformState {
         };
 
         // Normalized marginal gains against the remaining display.
-        let width = inner.space.len();
-        let kw_of = |inner: &Inner, ci: usize| -> KeywordVec {
-            let t = inner.tasks.get(TaskId(ci as u32));
-            if t.keywords.nbits() == width {
-                t.keywords.clone()
-            } else {
-                inner.space.widen(&t.keywords)
-            }
-        };
+        let kw_of =
+            |inner: &Inner, ci: usize| inner.widened(&inner.tasks.get(TaskId(ci as u32)).keywords);
         let jac =
             |a: &KeywordVec, b: &KeywordVec| -> f64 { hta_core::kernels::jaccard_distance(a, b) };
-        let wkw = if inner.workers[worker].keywords.nbits() == width {
-            inner.workers[worker].keywords.clone()
-        } else {
-            inner.space.widen(&inner.workers[worker].keywords)
-        };
+        let wkw = inner.widened(&inner.workers[worker].keywords);
         let completed_kw: Vec<KeywordVec> = inner.workers[worker]
             .completed
             .iter()
@@ -617,48 +586,28 @@ impl PlatformState {
         let Some(w) = inner.workers.get(worker) else {
             return Err(StateError::UnknownWorker(worker));
         };
-        let wkw = if w.keywords.nbits() == inner.space.len() {
-            w.keywords.clone()
-        } else {
-            inner.space.widen(&w.keywords)
-        };
-        Ok(inner.index.top_k(&wkw, k))
+        Ok(inner.index.top_k(&inner.widened(&w.keywords), k))
     }
 
     /// Read-only preview of the candidate pool the current mode would hand
-    /// the solver for a singleton `worker` (`GET /candidates`). Returns
-    /// `(members, topk_hits)`; in dense mode every member is a "hit".
+    /// the solver for a singleton `worker` (`GET /candidates`): exactly the
+    /// members [`PlatformState::assign`] would solve over next. Returns
+    /// `(members, topk_hits)`; in Full mode every member is a "hit".
     pub fn candidate_pool(&self, worker: usize) -> Result<(Vec<u32>, usize), StateError> {
         let inner = self.inner.lock().expect("state lock");
-        let Some(w) = inner.workers.get(worker) else {
+        if worker >= inner.workers.len() {
             return Err(StateError::UnknownWorker(worker));
-        };
-        match inner.mode {
-            CandidateMode::Full => {
-                let members: Vec<u32> = (0..inner.available.len())
-                    .filter(|&i| inner.available[i])
-                    .take(inner.max_instance_tasks)
-                    .map(|i| i as u32)
-                    .collect();
-                let hits = members.len();
-                Ok((members, hits))
-            }
-            CandidateMode::TopK(k) => {
-                let wkw = if w.keywords.nbits() == inner.space.len() {
-                    w.keywords.clone()
-                } else {
-                    inner.space.widen(&w.keywords)
-                };
-                let probe = Worker::new(WorkerId(0), wkw).with_weights(w.estimator.estimate());
-                let pool = CandidatePool::generate(
-                    &inner.index,
-                    &[probe],
-                    inner.xmax,
-                    &PoolParams::with_k(k),
-                );
-                Ok((pool.members().to_vec(), pool.topk_hits()))
-            }
         }
+        // A copy of the stream: the preview draws nothing from the state.
+        let mut rng = inner.rng.clone();
+        Ok(inner.mode.select(
+            inner.window(),
+            &inner.index,
+            &inner.available,
+            &inner.local_workers(&[worker]),
+            inner.xmax,
+            &mut rng,
+        ))
     }
 }
 
@@ -991,6 +940,63 @@ mod tests {
         assert!(hits <= pool.len());
         // The preview is read-only: stats and a later assign are untouched.
         assert_eq!(s.stats().assigned_tasks, 0);
+    }
+
+    #[test]
+    fn candidate_preview_is_what_assign_solves_over() {
+        // TopK through the sparse session (its cache keeps the pool), Full
+        // through the dense warm session (it keeps the open list), with the
+        // catalog under and over the 1,200-task window. Two workers
+        // alternate, so the open set churns between previews.
+        let cases = [
+            (20, CandidateMode::TopK(16), 1),
+            (20, CandidateMode::Full, 0),
+            (130, CandidateMode::Full, 0),
+        ];
+        for (n_groups, mode, cap) in cases {
+            let w = generate(&AmtConfig {
+                n_groups,
+                tasks_per_group: 10,
+                vocab_size: 80,
+                ..Default::default()
+            });
+            let n_tasks = w.tasks.len();
+            let s = PlatformState::with_mode(w.space, w.tasks, 5, 42, mode);
+            s.set_edge_cache_cap(cap);
+            let a = s.register_worker(&["english", "survey"]).unwrap();
+            let b = s.register_worker(&["english", "audio"]).unwrap();
+            for round in 0..3 {
+                let ctx = format!("{mode} over {n_tasks} tasks, round {round}");
+                let (preview, hits) = s.candidate_pool(a).unwrap();
+                let open: Vec<u32> = s.with_inner(|i| {
+                    (0..n_tasks as u32)
+                        .filter(|&t| i.available[t as usize])
+                        .collect()
+                });
+                let got = s.assign(a).unwrap();
+                let solved = s.with_inner(|i| {
+                    let session = i.session.as_ref().expect("assign derived a session");
+                    match mode {
+                        CandidateMode::TopK(_) => {
+                            session.sparse_cache().unwrap().members().to_vec()
+                        }
+                        CandidateMode::Full => session.warm().unwrap().open_list().to_vec(),
+                    }
+                });
+                assert_eq!(preview, solved, "{ctx}");
+                assert_eq!(got.tasks.len(), 5, "{ctx}");
+                assert!(
+                    got.tasks.iter().all(|&t| preview.contains(&(t as u32))),
+                    "{ctx}"
+                );
+                if mode == CandidateMode::Full {
+                    // The lowest open ids, up to the window.
+                    assert_eq!(hits, preview.len(), "{ctx}");
+                    assert_eq!(preview, open[..open.len().min(1200)], "{ctx}");
+                }
+                s.assign(b).unwrap();
+            }
+        }
     }
 
     #[test]
