@@ -22,7 +22,7 @@ use hta_core::solver::{
     WarmState,
 };
 use hta_core::sparse::SparseEdgeCache;
-use hta_core::{keywords_fingerprint, DiversityEdgeCache};
+use hta_core::DiversityEdgeCache;
 use hta_index::{CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -304,9 +304,10 @@ impl SparseHarness {
 }
 
 /// One warm sparse iteration: absorb nothing (churn was applied by the
-/// caller), generate the top-`k` pool from the index, delta-refresh the
-/// sparse edge cache, and warm-repair the matching. Returns the solve
-/// output, the pool size, and the objective.
+/// caller), generate the top-`k` pool from the index, refresh the sparse
+/// edge cache to it, and solve over its filtered edges with the warm
+/// state's LSAP memo. Returns the solve output, the pool size, and the
+/// objective.
 fn sparse_warm_iter(
     h: &SparseHarness,
     solver: &HtaGre,
@@ -315,22 +316,13 @@ fn sparse_warm_iter(
     warm: &mut Option<SparseWarmState>,
 ) -> (usize, f64, hta_core::solver::SolveOutcome) {
     let pool = CandidatePool::generate(&h.index, &h.workers, SPARSE_XMAX, &PoolParams::with_k(k));
-    let tasks = &h.tasks;
-    let weight = |u: u32, v: u32| {
-        hta_core::kernels::jaccard_distance(
-            &tasks[u as usize].keywords,
-            &tasks[v as usize].keywords,
-        )
-    };
-    cache.refresh(pool.members(), weight);
-    if warm.is_none() {
-        *warm = Some(SparseWarmState::new(cache));
-    }
     let open: Vec<usize> = pool.members().iter().map(|&t| t as usize).collect();
     let inst = sub_instance(&h.tasks, &h.workers, &open, SPARSE_XMAX);
+    cache.refresh(pool.members(), |i, j| inst.diversity(i, j));
+    let warm = warm.get_or_insert_with(|| SparseWarmState::new(cache));
     let mut rng = StdRng::seed_from_u64(1);
     let out =
-        solve_open_subset_sparse_warm(solver, &inst, &open, Some(cache), warm.as_mut(), &mut rng);
+        solve_open_subset_sparse_warm(solver, &inst, &open, Some(cache), Some(warm), &mut rng);
     let obj = out.assignment.objective(&inst);
     (open.len(), obj, out)
 }
@@ -354,7 +346,7 @@ fn sparse_cold_iter(
 }
 
 /// Steady-state sparse sweep at the frontier pool depths, per iteration
-/// at 1% catalog churn: warm (top-k pool, cache refresh, matching repair)
+/// at 1% catalog churn: warm (top-k pool, cache refresh, LSAP memo)
 /// vs cold (top-k pool, scratch solve). Warm ≡ cold output is pinned by
 /// `hta-crowd`'s `sparse_identity` suite, so this group tracks wall-clock
 /// only.
@@ -366,8 +358,7 @@ fn bench_sparse(c: &mut Criterion) {
         let k = 32usize;
         let mut h = SparseHarness::build(n, 0x53);
         let solver = HtaGre::structured().with_threads(1);
-        let fp = keywords_fingerprint(h.tasks.iter().map(|t| &t.keywords));
-        let mut cache = SparseEdgeCache::new(fp, h.tasks.len());
+        let mut cache = SparseEdgeCache::new(h.tasks.len());
         let mut warm = None;
         // Prime at the fully-open state.
         sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm);
@@ -759,8 +750,7 @@ fn emit_phase_json() {
         for &k in &SPARSE_POOL_KS {
             let mut h = SparseHarness::build(n, 0x53);
             let solver = HtaGre::structured().with_threads(1);
-            let fp = keywords_fingerprint(h.tasks.iter().map(|t| &t.keywords));
-            let mut cache = SparseEdgeCache::new(fp, h.tasks.len());
+            let mut cache = SparseEdgeCache::new(h.tasks.len());
             let mut warm = None;
             sparse_warm_iter(&h, &solver, k, &mut cache, &mut warm); // prime
             let mut closed = false;

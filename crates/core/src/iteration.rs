@@ -98,8 +98,8 @@ impl IterationEngine {
     /// per iteration. Results are byte-identical to the non-reusing path
     /// (the filtered sublist equals a fresh enumerate-and-sort).
     ///
-    /// `threads` controls the one-off build (`0` = auto). Replaces sparse
-    /// warm start; a dense warm state is rebound to the rebuilt list.
+    /// `threads` controls the one-off build (`0` = auto). A dense warm
+    /// state is rebound to the rebuilt list.
     pub fn enable_edge_reuse(&mut self, threads: usize) {
         self.session = OpenSetSession::dense(
             &keywords(&self.tasks),
@@ -144,31 +144,6 @@ impl IterationEngine {
     /// Whether warm-start matching is active.
     pub fn warm_start_enabled(&self) -> bool {
         self.session.warm().is_some()
-    }
-
-    /// Carry the matching forward over *pool-scoped* sparse edges instead
-    /// of the full-catalog dense list: each iteration the open set (or the
-    /// candidate pool) is diffed against the cache's members, only pairs
-    /// touching added members are re-weighed, and the matching is repaired
-    /// over the sparse list. Unlike [`enable_warm_start`]
-    /// (Self::enable_warm_start) this never materializes `O(|T|²)` edges, so
-    /// it works past the dense edge-cache catalog cap. Replaces any dense
-    /// edge list. Results are byte-identical to the cold path at every
-    /// churn level.
-    pub fn enable_sparse_warm_start(&mut self) {
-        self.session = OpenSetSession::sparse(self.tasks.len());
-    }
-
-    /// Drop the sparse warm-start state.
-    pub fn disable_sparse_warm_start(&mut self) {
-        if self.sparse_warm_start_enabled() {
-            self.session = OpenSetSession::Off;
-        }
-    }
-
-    /// Whether sparse warm-start matching is active.
-    pub fn sparse_warm_start_enabled(&self) -> bool {
-        self.session.sparse_cache().is_some()
     }
 
     /// Tasks still available for assignment.
@@ -252,7 +227,7 @@ impl IterationEngine {
         // Freeze T^i: every available task, in ascending catalog order, so
         // the session's edge reuse applies. The cache is only trusted while
         // its catalog fingerprint still matches the pool (a cache planted
-        // from elsewhere, or a sparse cache not yet bound).
+        // from elsewhere is rebuilt).
         let members: Vec<u32> = (0..self.tasks.len() as u32)
             .filter(|&t| self.available[t as usize])
             .collect();
@@ -391,72 +366,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let cached = fresh.run_iteration(&HtaGre::new(), &mut rng).unwrap();
         assert_eq!(cached.assignments, expect.assignments);
-    }
-
-    #[test]
-    fn stale_sparse_cache_restarts_empty_and_results_match_cacheless() {
-        use crate::edges::keywords_fingerprint;
-        use crate::metric::Jaccard;
-        use crate::sparse::SparseEdgeCache;
-        use crate::task::Task;
-
-        // Baseline: no cache at all, over two iterations.
-        let mut plain = setup(24, 2, 3);
-        let mut rng = StdRng::seed_from_u64(5);
-        let expect: Vec<_> = (0..2)
-            .map(|_| plain.run_iteration(&HtaGre::new(), &mut rng).unwrap())
-            .collect();
-
-        // A sparse cache bound to a *different* catalog, holding that
-        // catalog's weights and a warm state built on them.
-        let other: Vec<Task> = (0..24)
-            .map(|i| {
-                Task::new(
-                    TaskId(i as u32),
-                    GroupId(0),
-                    KeywordVec::from_indices(32, &[(i * 11 + 2) % 32]),
-                )
-            })
-            .collect();
-        let other_kw: Vec<&KeywordVec> = other.iter().map(|t| &t.keywords).collect();
-        let other_weight =
-            |u: u32, v: u32| Jaccard.dist(other_kw[u as usize], other_kw[v as usize]);
-        let mut planted = OpenSetSession::Sparse {
-            cache: SparseEdgeCache::new(keywords_fingerprint(other_kw.iter().copied()), 24),
-            warm: None,
-        };
-        planted.refresh_pool(&(0..24).collect::<Vec<_>>(), other_weight);
-        planted.refresh_pool(&(0..20).collect::<Vec<_>>(), other_weight);
-
-        // The engine's own session starts unbound; the first iteration
-        // binds it without dropping anything the later ones reuse.
-        let mut own = setup(24, 2, 3);
-        own.enable_sparse_warm_start();
-        assert_eq!(own.session.sparse_cache().unwrap().fingerprint(), None);
-        let mut stale = setup(24, 2, 3);
-        stale.session = planted;
-
-        let live = keywords_fingerprint(stale.tasks.tasks().iter().map(|t| &t.keywords));
-        for engine in [&mut stale, &mut own] {
-            let mut rng = StdRng::seed_from_u64(5);
-            for (i, want) in expect.iter().enumerate() {
-                let got = engine.run_iteration(&HtaGre::new(), &mut rng).unwrap();
-                assert_eq!(got.assignments, want.assignments);
-                assert_eq!(got.objective, want.objective);
-                // Bound to the live catalog and restarted empty: one pool
-                // install per iteration since, and every weight is the
-                // live catalog's.
-                let cache = engine.session.sparse_cache().unwrap();
-                assert_eq!(cache.fingerprint(), Some(live));
-                assert_eq!(cache.epoch(), i as u64 + 1);
-                let kw = keywords(&engine.tasks);
-                let mut fresh = SparseEdgeCache::new(live, 24);
-                fresh.rebuild(cache.members(), &|u, v| {
-                    Jaccard.dist(kw[u as usize], kw[v as usize])
-                });
-                assert_eq!(cache.edges(), fresh.edges());
-            }
-        }
     }
 
     #[test]
@@ -658,34 +567,6 @@ mod tests {
         assert!(warmed.edge_reuse_enabled());
         let a = plain.run_iteration(&cold_solver, &mut rng_a).unwrap();
         let b = warmed.run_iteration(&solver, &mut rng_b).unwrap();
-        assert_eq!(a.assignments, b.assignments);
-    }
-
-    #[test]
-    fn sparse_warm_start_is_byte_identical_across_iterations() {
-        // Same churn regime as the dense warm test, but over the
-        // pool-scoped sparse cache — no dense `O(|T|²)` list ever exists.
-        // Thread counts differ between the engines on purpose.
-        let solver = HtaGre::new().with_threads(2);
-        let mut plain = setup(30, 2, 3);
-        let mut sparse = setup(30, 2, 3);
-        sparse.enable_sparse_warm_start();
-        assert!(sparse.sparse_warm_start_enabled());
-        assert!(!sparse.edge_reuse_enabled(), "no dense cache involved");
-        let cold_solver = HtaGre::new().with_threads(1);
-        let mut rng_a = StdRng::seed_from_u64(31);
-        let mut rng_b = StdRng::seed_from_u64(31);
-        for _ in 0..5 {
-            let a = plain.run_iteration(&cold_solver, &mut rng_a).unwrap();
-            let b = sparse.run_iteration(&solver, &mut rng_b).unwrap();
-            assert_eq!(a.assignments, b.assignments);
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        }
-        // Disabling drops back to the per-iteration enumeration, identical.
-        sparse.disable_sparse_warm_start();
-        assert!(!sparse.sparse_warm_start_enabled());
-        let a = plain.run_iteration(&cold_solver, &mut rng_a).unwrap();
-        let b = sparse.run_iteration(&solver, &mut rng_b).unwrap();
         assert_eq!(a.assignments, b.assignments);
     }
 

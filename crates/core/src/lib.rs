@@ -95,7 +95,7 @@ pub use keywords::{KeywordId, KeywordSpace};
 pub use metric::{Distance, Jaccard};
 pub use session::{EdgeSource, OpenSetSession, Round, RoundOutcome};
 pub use solver::{SolveOutcome, Solver};
-pub use sparse::{SparseDelta, SparseEdgeCache, SparseRefreshStats};
+pub use sparse::SparseEdgeCache;
 pub use state::{StateDecodeError, StateReader, StateSerialize};
 pub use task::{GroupId, Task, TaskId, TaskPool};
 pub use worker::{Weights, Worker, WorkerId, WorkerPool};

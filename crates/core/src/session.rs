@@ -83,14 +83,13 @@ pub enum OpenSetSession {
         /// Matching state carried between solves, bound to `cache`.
         warm: Option<WarmState>,
     },
-    /// Pool-scoped edges; `warm` is `Some` after the first
-    /// [`refresh_pool`](Self::refresh_pool). The cache starts
-    /// [unbound](SparseEdgeCache::unbound): only
-    /// [`revalidate`](Self::revalidate) ties it to a catalog fingerprint.
+    /// Pool-scoped edges: every [round](Self::solve_round) refreshes
+    /// `cache` to its members and scans their edges; `warm` is `Some` after
+    /// the first refresh.
     Sparse {
         /// Edges over the current pool members.
         cache: SparseEdgeCache,
-        /// Matching state carried between solves, epoch-synced to `cache`.
+        /// The LSAP memo carried between solves, built on `cache`.
         warm: Option<SparseWarmState>,
     },
 }
@@ -112,7 +111,10 @@ impl OpenSetSession {
             EdgeSource::Dense { warm } => {
                 Self::dense(&keywords.collect::<Vec<_>>(), distance, threads, warm)
             }
-            EdgeSource::Sparse => Self::sparse(keywords.len()),
+            EdgeSource::Sparse => Self::Sparse {
+                cache: SparseEdgeCache::new(keywords.len()),
+                warm: None,
+            },
         }
     }
 
@@ -126,11 +128,6 @@ impl OpenSetSession {
         let cache = DiversityEdgeCache::build_over(keywords, distance, threads);
         let warm = warm.then(|| WarmState::new(&cache));
         Self::Dense { cache, warm }
-    }
-
-    pub(crate) fn sparse(n_tasks: usize) -> Self {
-        let cache = SparseEdgeCache::unbound(n_tasks);
-        Self::Sparse { cache, warm: None }
     }
 
     /// The catalog-wide edge cache (`Dense` only).
@@ -174,26 +171,22 @@ impl OpenSetSession {
     }
 
     /// Refresh the sparse cache to exactly `members` (strictly increasing
-    /// catalog ids; `weight` is called only for pairs touching added
-    /// members) and make its warm state exist. Only `Sparse` changes.
-    pub(crate) fn refresh_pool(&mut self, members: &[u32], weight: impl Fn(u32, u32) -> f64) {
+    /// catalog ids; `weight(i, j)` weighs members `i` and `j` by position,
+    /// and is called only when the members changed) and make its warm
+    /// state exist. Only `Sparse` changes.
+    fn refresh_pool(&mut self, members: &[u32], weight: impl Fn(usize, usize) -> f64 + Sync) {
         if let Self::Sparse { cache, warm } = self {
             cache.refresh(members, weight);
-            if warm.is_none() {
-                *warm = Some(SparseWarmState::new(cache));
-            }
+            warm.get_or_insert_with(|| SparseWarmState::new(cache));
         }
     }
 
-    /// Re-check the cache against the catalog's `fingerprint`
+    /// Re-check a dense cache against the catalog's `fingerprint`
     /// ([`keywords_fingerprint`](crate::edges::keywords_fingerprint) of its
-    /// task vectors): on a mismatch a dense cache is rebuilt in place from
-    /// `keywords()` (re-binding any warm state) and a sparse one restarts
-    /// empty, bound to this catalog. `keywords` runs only on a mismatch. An
-    /// unbound sparse cache counts as a mismatch, so the first call binds
-    /// it; the swap costs nothing while the cache holds no weights. Merely
-    /// bypassing a stale cache would re-enumerate edges on every later
-    /// solve.
+    /// task vectors): on a mismatch it is rebuilt in place from
+    /// `keywords()` (re-binding any warm state). `keywords` runs only on a
+    /// mismatch. Merely bypassing a stale cache would re-enumerate edges on
+    /// every later solve.
     pub fn revalidate<'a>(
         &mut self,
         fingerprint: u64,
@@ -204,10 +197,6 @@ impl OpenSetSession {
         match self {
             Self::Dense { cache, warm } if cache.fingerprint() != fingerprint => {
                 *self = Self::dense(&keywords(), distance, threads, warm.is_some());
-            }
-            Self::Sparse { cache, .. } if cache.fingerprint() != Some(fingerprint) => {
-                let cache = SparseEdgeCache::new(fingerprint, keywords().len());
-                *self = Self::Sparse { cache, warm: None };
             }
             _ => {}
         }
@@ -235,9 +224,9 @@ impl OpenSetSession {
         }
     }
 
-    /// One assignment round over `members` (catalog ids): refresh a sparse
-    /// cache to them, freeze them and `round`'s cohort into an [`Instance`],
-    /// solve through this session's edge source, validate, and map the
+    /// One assignment round over `members` (catalog ids): freeze them and
+    /// `round`'s cohort into an [`Instance`], refresh a sparse cache to
+    /// them, solve through this session's edge source, validate, and map the
     /// result back to catalog ids. Task vectors narrower than the workers'
     /// are widened to their universe.
     ///
@@ -257,9 +246,6 @@ impl OpenSetSession {
             distance,
             solver,
         } = round;
-        self.refresh_pool(&members, |u, v| {
-            distance.dist(&task(u).keywords, &task(v).keywords)
-        });
         let width = workers.first().map_or(0, |w| w.keywords.nbits());
         let tasks: Vec<Task> = members
             .iter()
@@ -275,6 +261,9 @@ impl OpenSetSession {
             })
             .collect();
         let instance = Instance::with_distance(tasks, workers, xmax, distance, false)?;
+        // The instance's tasks are the members in order, so its diversity
+        // weighs the pool exactly as a cold solve over it does.
+        self.refresh_pool(&members, |i, j| instance.diversity(i, j));
         let open: Vec<usize> = members.iter().map(|&m| m as usize).collect();
         let assignment = self.solve(solver, &instance, &open, rng).assignment;
         assignment.validate(&instance)?;
@@ -327,6 +316,17 @@ impl RoundOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    use hta_matching::WeightedEdge;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use crate::metric::Jaccard;
+    use crate::solver::HtaGre;
+    use crate::task::GroupId;
+    use crate::worker::{Weights, WorkerId};
 
     #[test]
     fn edge_source_policy_table() {
@@ -370,5 +370,270 @@ mod tests {
             EdgeSource::choose(auto + 1, 0, true, true, Some(16)),
             Sparse
         );
+    }
+
+    /// HTA-GRE that logs, for each solve, the entry point that ran and the
+    /// `lsap_value` bits it returned.
+    struct Logged {
+        inner: HtaGre,
+        log: RefCell<Vec<(&'static str, u64)>>,
+    }
+
+    impl Logged {
+        fn new() -> Self {
+            Self {
+                inner: HtaGre::structured(),
+                log: RefCell::new(Vec::new()),
+            }
+        }
+
+        fn record(&self, entry: &'static str, out: SolveOutcome) -> SolveOutcome {
+            self.log
+                .borrow_mut()
+                .push((entry, out.lsap_value.to_bits()));
+            out
+        }
+
+        fn last(&self) -> (&'static str, u64) {
+            *self.log.borrow().last().expect("a solve ran")
+        }
+    }
+
+    impl Solver for Logged {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn solve(&self, inst: &Instance, rng: &mut dyn Rng) -> SolveOutcome {
+            self.record("cold", self.inner.solve(inst, rng))
+        }
+
+        fn solve_with_diversity_edges(
+            &self,
+            inst: &Instance,
+            sorted_edges: &[WeightedEdge],
+            rng: &mut dyn Rng,
+        ) -> SolveOutcome {
+            let out = self
+                .inner
+                .solve_with_diversity_edges(inst, sorted_edges, rng);
+            self.record("edges", out)
+        }
+
+        fn solve_warm(
+            &self,
+            inst: &Instance,
+            cache: &DiversityEdgeCache,
+            warm: &mut WarmState,
+            open: &[u32],
+            rng: &mut dyn Rng,
+        ) -> SolveOutcome {
+            let out = self.inner.solve_warm(inst, cache, warm, open, rng);
+            self.record("warm", out)
+        }
+
+        fn solve_warm_sparse(
+            &self,
+            inst: &Instance,
+            cache: &SparseEdgeCache,
+            warm: &mut SparseWarmState,
+            open: &[u32],
+            rng: &mut dyn Rng,
+        ) -> SolveOutcome {
+            let out = self.inner.solve_warm_sparse(inst, cache, warm, open, rng);
+            self.record("sparse", out)
+        }
+    }
+
+    /// Deterministic splitmix64 for catalogs and pool sequences.
+    struct Mix(u64);
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// `size` distinct ids below `n` outside `avoid`, ascending.
+        fn pool(&mut self, n: usize, size: usize, avoid: &[u32]) -> Vec<u32> {
+            let mut out: Vec<u32> = Vec::new();
+            while out.len() < size.min(n - avoid.len()) {
+                let t = self.below(n) as u32;
+                if !avoid.contains(&t) && !out.contains(&t) {
+                    out.push(t);
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+
+        /// A pool of 4 to 13 ids below `N` outside `avoid`.
+        fn fresh(&mut self, avoid: &[u32]) -> Vec<u32> {
+            let size = 4 + self.below(10);
+            self.pool(N, size, avoid)
+        }
+    }
+
+    fn round_of<'a>(
+        workers: &[Worker],
+        task: &'a dyn Fn(u32) -> &'a Task,
+        solver: &'a Logged,
+    ) -> Round<'a> {
+        Round {
+            workers: workers.to_vec(),
+            task,
+            xmax: 3,
+            distance: Arc::new(Jaccard),
+            solver,
+        }
+    }
+
+    /// The instance a round over `ids` builds, tasks relabelled `0..`.
+    fn sub_instance(catalog: &[Task], workers: &[Worker], ids: &[u32]) -> Instance {
+        let tasks = ids
+            .iter()
+            .enumerate()
+            .map(|(local, &g)| {
+                let t = &catalog[g as usize];
+                Task::new(TaskId(local as u32), t.group, t.keywords.clone())
+            })
+            .collect();
+        Instance::with_distance(tasks, workers.to_vec(), 3, Arc::new(Jaccard), false).unwrap()
+    }
+
+    /// Catalog size of the pool-sequence property.
+    const N: usize = 40;
+    /// Task keywords lie in `0..TASK_BITS`; a worker outside that range has
+    /// relevance 0 to every task.
+    const TASK_BITS: usize = 12;
+
+    proptest! {
+        /// A Sparse session and an Off session driven through
+        /// `solve_round` over the same random pool sequence — small deltas,
+        /// total swaps, a repeated pool (an LSAP memo hit), an empty pool,
+        /// and a same-size pool with other members — assign the same tasks
+        /// with the same `lsap_value` bits, and so does a sparse solve of a
+        /// strict subset of each pool against a cold one. When the workers' relevance is
+        /// zero everywhere, two pools of one size differ to the LSAP only
+        /// through `b_M`, so a memo that ignored it would replay a wrong
+        /// solution.
+        #[test]
+        fn sparse_rounds_match_off_over_random_pool_sequences(
+            seed in 0u64..u64::MAX,
+            ops in proptest::collection::vec(0usize..5, 4..14),
+            n_workers in 1usize..3,
+            irrelevant in 0usize..2,
+        ) {
+            let mut mix = Mix(seed);
+            let nbits = 16;
+            let catalog: Vec<Task> = (0..N)
+                .map(|i| {
+                    let kws: Vec<usize> =
+                        (0..1 + mix.below(3)).map(|_| mix.below(TASK_BITS)).collect();
+                    Task::new(
+                        TaskId(i as u32),
+                        GroupId(0),
+                        KeywordVec::from_indices(nbits, &kws),
+                    )
+                })
+                .collect();
+            let workers: Vec<Worker> = (0..n_workers)
+                .map(|q| {
+                    let kw = if irrelevant == 1 {
+                        TASK_BITS + mix.below(nbits - TASK_BITS)
+                    } else {
+                        mix.below(TASK_BITS)
+                    };
+                    let alpha = [0.5, 0.8][q % 2];
+                    Worker::new(WorkerId(q as u32), KeywordVec::from_indices(nbits, &[kw]))
+                        .with_weights(Weights::from_alpha(alpha))
+                })
+                .collect();
+
+            let keywords = catalog.iter().map(|t| &t.keywords);
+            let mut sparse = OpenSetSession::new(EdgeSource::Sparse, keywords, &Jaccard, 1);
+            let mut off = OpenSetSession::Off;
+            let (by_sparse, by_off) = (Logged::new(), Logged::new());
+            let (mut rng_sparse, mut rng_off) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let task = |t: u32| &catalog[t as usize];
+            let round = |solver| round_of(&workers, &task, solver);
+
+            let mut pool = mix.fresh(&[]);
+            for (step, &op) in ops.iter().enumerate() {
+                let out_sparse = sparse
+                    .solve_round(pool.clone(), round(&by_sparse), &mut rng_sparse)
+                    .unwrap();
+                let out_off = off
+                    .solve_round(pool.clone(), round(&by_off), &mut rng_off)
+                    .unwrap();
+                for q in 0..n_workers {
+                    prop_assert_eq!(
+                        out_sparse.tasks_of(q).collect::<Vec<_>>(),
+                        out_off.tasks_of(q).collect::<Vec<_>>(),
+                        "step {} worker {}", step, q
+                    );
+                }
+                let ((entry, sparse_bits), (_, off_bits)) = (by_sparse.last(), by_off.last());
+                prop_assert_eq!(entry, "sparse", "step {}", step);
+                prop_assert_eq!(sparse_bits, off_bits, "step {} lsap_value", step);
+
+                // A strict subset of the pool through a copy of the
+                // session's cache and warm state: the filter path, which a
+                // round (every member open) never takes.
+                if let OpenSetSession::Sparse { cache, warm: Some(warm) } = &sparse {
+                    if pool.len() >= 2 {
+                        let mut sub = pool.clone();
+                        sub.remove((seed as usize).wrapping_add(step) % sub.len());
+                        let inst = sub_instance(&catalog, &workers, &sub);
+                        let open: Vec<usize> = sub.iter().map(|&t| t as usize).collect();
+                        let (cache, mut warm) = (cache.clone(), warm.clone());
+                        let out = solve_open_subset_sparse_warm(
+                            &by_sparse,
+                            &inst,
+                            &open,
+                            Some(&cache),
+                            Some(&mut warm),
+                            &mut StdRng::seed_from_u64(step as u64),
+                        );
+                        let cold = by_off.solve(&inst, &mut StdRng::seed_from_u64(step as u64));
+                        prop_assert_eq!(by_sparse.last().0, "sparse", "step {} subset", step);
+                        prop_assert_eq!(out.assignment, cold.assignment, "step {} subset", step);
+                        prop_assert_eq!(
+                            out.lsap_value.to_bits(),
+                            cold.lsap_value.to_bits(),
+                            "step {} subset lsap_value", step
+                        );
+                    }
+                }
+
+                pool = match op {
+                    // Small delta: one member leaves, one task joins.
+                    0 => {
+                        let mut next = pool.clone();
+                        if !next.is_empty() {
+                            next.remove(mix.below(next.len()));
+                        }
+                        next.extend(mix.pool(N, 1, &pool));
+                        next.sort_unstable();
+                        next
+                    }
+                    // Total swap: no member survives.
+                    1 => mix.fresh(&pool),
+                    // The same pool again.
+                    2 => pool,
+                    // An empty pool.
+                    3 => Vec::new(),
+                    // As many members, drawn afresh.
+                    _ => mix.pool(N, pool.len().max(4), &[]),
+                };
+            }
+        }
     }
 }

@@ -87,15 +87,15 @@ pub fn solve_open_subset_warm(
 
 /// [`solve_open_subset_warm`] for catalogs past the dense edge-cache cap:
 /// edges come from a pool-scoped [`SparseEdgeCache`] and the warm state is
-/// a [`SparseWarmState`] epoch-synced to it.
+/// a [`SparseWarmState`] carrying the LSAP memo.
 ///
 /// The warm path is taken only when a cache and warm state are supplied,
-/// `open` is strictly increasing and covered by the cache's pool members,
-/// the warm state is bound to the cache's catalog, and the instance's task
-/// count equals the open-subset length. Degradation mirrors the dense
-/// helper: a usable cache with an unusable warm state takes the filtered-
-/// edges path (leaving `warm` untouched); anything less solves cold. The
-/// outcome is byte-identical to [`Solver::solve`] in every case.
+/// `open` is a strictly increasing subset of the cache's pool members, the
+/// warm state was built on the cache, and the instance's task count equals
+/// the open-subset length. Degradation mirrors the dense helper: a usable
+/// cache with an unusable warm state takes the filtered-edges path
+/// (leaving `warm` untouched); anything less solves cold. The outcome is
+/// byte-identical to [`Solver::solve`] in every case.
 pub fn solve_open_subset_sparse_warm(
     solver: &dyn Solver,
     inst: &Instance,
@@ -105,9 +105,7 @@ pub fn solve_open_subset_sparse_warm(
     rng: &mut dyn Rng,
 ) -> SolveOutcome {
     let open_u32: Vec<u32> = open.iter().map(|&i| i as u32).collect();
-    let covered = cache.is_some_and(|c| {
-        open.windows(2).all(|w| w[0] < w[1]) && c.member_positions(&open_u32).is_some()
-    });
+    let covered = cache.is_some_and(|c| c.covers(&open_u32));
     match (cache, warm) {
         (Some(cache), Some(warm))
             if covered && warm.matches_cache(cache) && inst.n_tasks() == open.len() =>
@@ -210,13 +208,10 @@ mod tests {
     }
 
     fn pool_cache(tasks: &[Task], members: &[u32]) -> SparseEdgeCache {
-        use crate::edges::keywords_fingerprint;
         use crate::metric::Distance;
-        let fp = keywords_fingerprint(tasks.iter().map(|t| &t.keywords));
-        let mut cache = SparseEdgeCache::new(fp, tasks.len());
-        cache.refresh(members, |u, v| {
-            Jaccard.dist(&tasks[u as usize].keywords, &tasks[v as usize].keywords)
-        });
+        let mut cache = SparseEdgeCache::new(tasks.len());
+        let kw = |i: usize| &tasks[members[i] as usize].keywords;
+        cache.refresh(members, |i, j| Jaccard.dist(kw(i), kw(j)));
         cache
     }
 
@@ -269,52 +264,6 @@ mod tests {
                 "step {step}"
             );
         }
-    }
-
-    #[test]
-    fn sparse_warm_survives_pool_drift_via_delta_replay() {
-        use crate::metric::Distance;
-        let tasks = catalog(24);
-        let members: Vec<u32> = (0..16).collect();
-        let mut cache = pool_cache(&tasks, &members);
-        let mut warm = crate::solver::SparseWarmState::new(&cache);
-        let solver = HtaGre::structured().without_flip();
-
-        let open: Vec<usize> = (0..16usize).filter(|&m| m != 5).collect();
-        let inst = sub_instance(&tasks, &open);
-        solve_open_subset_sparse_warm(
-            &solver,
-            &inst,
-            &open,
-            Some(&cache),
-            Some(&mut warm),
-            &mut StdRng::seed_from_u64(8),
-        );
-
-        // Pool drifts; the cache refresh bumps the epoch and the next warm
-        // solve must absorb the member delta, matching the cold solve bit
-        // for bit.
-        let drifted: Vec<u32> = (2..20).collect();
-        cache.refresh(&drifted, |u, v| {
-            Jaccard.dist(&tasks[u as usize].keywords, &tasks[v as usize].keywords)
-        });
-        let open2: Vec<usize> = drifted.iter().map(|&m| m as usize).collect();
-        let inst2 = sub_instance(&tasks, &open2);
-        let cold = solver.solve(&inst2, &mut StdRng::seed_from_u64(9));
-        let warmed = solve_open_subset_sparse_warm(
-            &solver,
-            &inst2,
-            &open2,
-            Some(&cache),
-            Some(&mut warm),
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(cold.assignment, warmed.assignment);
-        assert_eq!(cold.lsap_value.to_bits(), warmed.lsap_value.to_bits());
-        assert!(
-            !warm.last_rebind(),
-            "an incremental refresh replays the cache delta, no rebind"
-        );
     }
 
     #[test]

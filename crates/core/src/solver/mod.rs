@@ -120,8 +120,9 @@ pub trait Solver {
     /// Same contract as every other entry point — byte-identical output to
     /// [`Self::solve`] at every churn level, thread count, and pool drift;
     /// the cache and warm state only change the cost. Pipeline solvers
-    /// override this with epoch-synced incremental repair and fall back to
-    /// the cold path on any invariant violation. Prefer calling through
+    /// override this with the presorted scan over the pool's edges plus the
+    /// warm state's LSAP memo, and fall back to the cold path on any
+    /// invariant violation. Prefer calling through
     /// [`cohort::solve_open_subset_sparse_warm`], which centralizes the
     /// guards.
     fn solve_warm_sparse(

@@ -200,17 +200,16 @@ pub(crate) fn solve_via_qap_warm(
     finish_warm(inst, opts, &mut warm.memo, mb, t_start, rng)
 }
 
-/// [`solve_via_qap_warm`] over a pool-scoped [`SparseEdgeCache`] — the
-/// large-catalog path where no dense catalog-global edge list exists. The
-/// open set must be a subset of the cache's pool members; the warm state is
-/// epoch-synced to the cache (rebinding after pool drift costs integer work
-/// only) and then the matching is diffed and repaired exactly like the
-/// dense warm path.
+/// [`solve_via_qap_with_edges`] over a pool-scoped [`SparseEdgeCache`]
+/// — the large-catalog path where no dense catalog-global edge list exists.
+/// Step 2 is the presorted greedy scan over the pool's filtered edges;
+/// steps 3-4 are served from `warm`'s input-keyed LSAP memo when the profit
+/// matrix equals the previous solve's.
 ///
-/// The fallback ladder mirrors [`solve_via_qap_warm`]: an unsorted open set
-/// or one not covered by the pool members solves cold; a warm state bound
-/// to a foreign catalog (or an instance/open length mismatch) takes the
-/// filtered-edges path and leaves `warm` untouched. Output is byte-
+/// The fallback ladder mirrors [`solve_via_qap_warm`]: an open set that is
+/// not a strictly increasing subset of the pool members solves cold; a warm
+/// state built on another cache (or an instance/open length mismatch) takes
+/// the filtered-edges path and leaves `warm` untouched. Output is byte-
 /// identical to [`solve_via_qap`] unconditionally.
 pub(crate) fn solve_via_qap_sparse_warm(
     inst: &Instance,
@@ -220,26 +219,20 @@ pub(crate) fn solve_via_qap_sparse_warm(
     open: &[u32],
     rng: &mut dyn Rng,
 ) -> SolveOutcome {
-    let n_real = inst.n_tasks();
-    if !open.windows(2).all(|w| w[0] < w[1]) {
-        return solve_via_qap(inst, opts, rng);
-    }
-    if cache.member_positions(open).is_none() {
+    if !cache.covers(open) {
         // The pool cache does not cover this open set; nothing reusable.
         return solve_via_qap(inst, opts, rng);
     }
-    if !(warm.matches_cache(cache) && open.len() == n_real) {
-        // The edge list is usable but the warm state is not (foreign
-        // catalog binding); leave it untouched and take the filter path.
+    if !(warm.matches_cache(cache) && open.len() == inst.n_tasks()) {
+        // The edge list is usable but the warm state is not (built on
+        // another cache); leave it untouched and take the filter path.
         return solve_via_qap_with_edges(inst, opts, &cache.filter_sorted(open), rng);
     }
 
-    // ---- Step 2, incremental: epoch sync + diff + local repair -----------
+    // ---- Step 2: the presorted scan over the pool's filtered edges -------
     let t_start = Instant::now();
-    let n = padded_len(inst);
-    warm.sync(cache);
-    warm.update_open(cache, open);
-    let mb = warm.extract_matching(n);
+    warm.note_solve(cache);
+    let mb = greedy_matching_presorted(padded_len(inst), &cache.filter_sorted(open));
     finish_warm(inst, opts, &mut warm.memo, mb, t_start, rng)
 }
 
@@ -248,10 +241,9 @@ fn padded_len(inst: &Instance) -> usize {
     inst.n_tasks().max(inst.n_workers() * inst.xmax())
 }
 
-/// The shared tail of both warm paths, given the repaired matching `mb`
-/// (started at `t_start`): steps 3-4 served from the input-keyed `memo`
-/// when the profit matrix is bit-identical to the previous solve's, then
-/// steps 5-6.
+/// The shared tail of both warm paths, given the matching `mb` (started
+/// at `t_start`): steps 3-4 served from the input-keyed `memo` when every
+/// input of the profit matrix equals the previous solve's, then steps 5-6.
 fn finish_warm(
     inst: &Instance,
     opts: PipelineOptions,
@@ -267,7 +259,7 @@ fn finish_warm(
 
     // ---- Steps 3-4 with the input-keyed memo ------------------------------
     let t_lsap = Instant::now();
-    let key = lsap_memo_key(inst, opts, n, &bm);
+    let key = LsapKey::of(inst, opts, n, &bm);
     let lsap_solution = match memo {
         Some((k, sol)) if *k == key => sol.clone(),
         _ => {
@@ -347,39 +339,39 @@ fn compute_lsap(
     }
 }
 
-/// Fingerprint of every input [`compute_lsap`] depends on: strategy and
-/// representation, shape, `b_M`, per-worker weights, and the relevance
-/// matrix. Two solves with equal keys have bit-identical profit matrices,
-/// so replaying a memoized solution is byte-identical to re-solving.
-/// Deliberately excludes the thread count (the result never depends on it).
-fn lsap_memo_key(inst: &Instance, opts: PipelineOptions, n: usize, bm: &[f64]) -> u64 {
-    #[inline]
-    fn mix(h: u64, v: u64) -> u64 {
-        let mut z = (h ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let n_real = inst.n_tasks();
-    let nw = inst.n_workers();
-    let mut h = mix(0x5EED_0CAB_005E_ED00, opts.lsap as u64);
-    h = mix(h, opts.representation as u64);
-    h = mix(h, n as u64);
-    h = mix(h, nw as u64);
-    h = mix(h, inst.xmax() as u64);
-    h = mix(h, n_real as u64);
-    // bm is zero beyond n_real (cache edges connect real tasks only).
-    for &b in &bm[..n_real] {
-        h = mix(h, b.to_bits());
-    }
-    for q in 0..nw {
-        h = mix(h, inst.alpha(q).to_bits());
-        h = mix(h, inst.beta(q).to_bits());
-        for k in 0..n_real {
-            h = mix(h, inst.rel(q, k).to_bits());
+/// Every input [`compute_lsap`] reads, bit for bit: strategy and
+/// representation, shape, `b_M` over the real tasks, and each worker's
+/// α, β and relevance row. Two solves with equal keys have bit-identical
+/// profit matrices, so replaying a memoized solution is byte-identical to
+/// re-solving. Deliberately excludes the thread count (the result never
+/// depends on it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LsapKey {
+    strategy: (LsapStrategy, CostRepresentation),
+    /// `(n, |W|, X_max, n_real)`.
+    shape: [usize; 4],
+    /// `b_M[..n_real]`, then `α_q, β_q, rel(q, ·)` for each worker `q`.
+    bits: Vec<u64>,
+}
+
+impl LsapKey {
+    fn of(inst: &Instance, opts: PipelineOptions, n: usize, bm: &[f64]) -> Self {
+        let n_real = inst.n_tasks();
+        let nw = inst.n_workers();
+        let mut bits = Vec::with_capacity(n_real + nw * (2 + n_real));
+        // bm is zero beyond n_real (edges connect real tasks only).
+        bits.extend(bm[..n_real].iter().map(|b| b.to_bits()));
+        for q in 0..nw {
+            bits.push(inst.alpha(q).to_bits());
+            bits.push(inst.beta(q).to_bits());
+            bits.extend((0..n_real).map(|k| inst.rel(q, k).to_bits()));
+        }
+        Self {
+            strategy: (opts.lsap, opts.representation),
+            shape: [n, nw, inst.xmax(), n_real],
+            bits,
         }
     }
-    h
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -564,6 +556,67 @@ mod tests {
         assert_eq!(reused.assignment.sets(), fresh.assignment.sets());
         assert_eq!(reused.lsap_value.to_bits(), fresh.lsap_value.to_bits());
         assert_eq!(reused.timings.edge_enum, std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn lsap_memo_replays_only_on_equal_inputs() {
+        let inst = paper_example();
+        let o = opts(LsapStrategy::Greedy, CostRepresentation::Classed).no_flip();
+        let n = padded_len(&inst);
+        let weight = |u: usize, v: usize| inst.diversity(u, v);
+        let edges = sorted_positive_edges(
+            &ByClosure {
+                n: inst.n_tasks(),
+                weight,
+            },
+            1,
+        );
+        let mb = greedy_matching_presorted(n, &edges);
+        let key = LsapKey::of(&inst, o, n, &bm_vector(n, &mb));
+        let cold = solve_via_qap(&inst, o, &mut StdRng::seed_from_u64(3));
+        // A solution no solver returns: a replay is visible in the output.
+        let planted = hta_matching::LsapSolution {
+            assignment: (0..n).rev().collect(),
+            value: -1.0,
+        };
+        let warm = |memo: &mut LsapMemo| {
+            finish_warm(
+                &inst,
+                o,
+                memo,
+                mb.clone(),
+                Instant::now(),
+                &mut StdRng::seed_from_u64(3),
+            )
+        };
+
+        // Planted under the instance's exact inputs, the entry is replayed.
+        let mut memo: LsapMemo = Some((key.clone(), planted.clone()));
+        assert_eq!(warm(&mut memo).lsap_value, -1.0);
+
+        // Planted under inputs that differ in one bit of `b_M`, an α, a β,
+        // a relevance or the shape, it is recomputed and replaced.
+        let mut others = Vec::new();
+        for i in 0..key.bits.len() {
+            let mut k = key.clone();
+            k.bits[i] ^= 1;
+            others.push(k);
+        }
+        for i in 0..key.shape.len() {
+            let mut k = key.clone();
+            k.shape[i] += 1;
+            others.push(k);
+        }
+        let mut k = key.clone();
+        k.strategy.0 = LsapStrategy::ExactJv;
+        others.push(k);
+        for other in others {
+            let mut memo: LsapMemo = Some((other.clone(), planted.clone()));
+            let out = warm(&mut memo);
+            assert_eq!(out.assignment, cold.assignment, "{other:?}");
+            assert_eq!(out.lsap_value.to_bits(), cold.lsap_value.to_bits());
+            assert_eq!(memo.map(|(k, _)| k), Some(key.clone()));
+        }
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! which dominates every cold-solve row of BENCH_solvers.json — costs
 //! `O(churn × degree)` instead of `O(|E|)`.
 //!
-//! The state also memoizes the last auxiliary-LSAP solution keyed by a
-//! fingerprint of the *inputs* that determine it (profit-matrix contents,
-//! shape, and strategy). Every LSAP strategy in the pipeline is a pure,
-//! thread-invariant function of the profit matrix, so replaying the stored
-//! solution on a key hit is byte-identical to re-solving at any thread
-//! count. A true price-retaining auction restart would be trajectory-
-//! dependent (prices encode the previous instance) and could not keep the
-//! byte-identity contract; the input-keyed memo is the identity-safe
-//! version, and it fires exactly when a restart would be free anyway — when
-//! the instance did not change.
+//! The state also memoizes the last auxiliary-LSAP solution beside every
+//! *input* that determines it (strategy, shape, `b_M`, and the workers'
+//! weights and relevance rows, bit for bit). Every LSAP strategy in the
+//! pipeline is a pure, thread-invariant function of the profit matrix, so
+//! replaying the stored solution when the inputs compare equal is
+//! byte-identical to re-solving at any thread count. A true
+//! price-retaining auction restart would be trajectory-dependent (prices
+//! encode the previous instance) and could not keep the byte-identity
+//! contract; the input-keyed memo is the identity-safe version, and it
+//! fires exactly when a restart would be free anyway — when the instance
+//! did not change.
 //!
 //! # Invariants
 //!
@@ -33,10 +34,11 @@ use hta_matching::incremental::{IncrementalMatching, UpdateStats};
 use hta_matching::{LsapSolution, Matching};
 
 use crate::edges::DiversityEdgeCache;
+use crate::solver::qap_pipeline::LsapKey;
 
-/// Input-keyed memo of the last auxiliary-LSAP solution, `(key,
+/// Input-keyed memo of the last auxiliary-LSAP solution, `(inputs,
 /// solution)`, held by both warm states. See the [module docs](self).
-pub(crate) type LsapMemo = Option<(u64, LsapSolution)>;
+pub(crate) type LsapMemo = Option<(LsapKey, LsapSolution)>;
 
 /// Matching and LSAP state carried from one cohort solve to the next. See
 /// the [module docs](self).

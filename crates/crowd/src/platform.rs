@@ -279,8 +279,8 @@ pub struct Platform<'c> {
     /// Edge source and warm state of the assignment solves, built here from
     /// [`EdgeSource::choose`] over `(catalog, cfg)`. Derived state: never
     /// serialized (checkpoints carry only the dense warm essence, see
-    /// [`Platform::restore_warm`]); a resumed sparse run starts cold and
-    /// pays one rebind, output unchanged.
+    /// [`Platform::restore_warm`]); a resumed sparse run starts with an
+    /// empty cache and memo, output unchanged.
     session: OpenSetSession,
     /// Lifecycle + reputation layer (`Some` iff the config enables it).
     life: Option<LifeState>,
@@ -450,7 +450,7 @@ impl<'c> Platform<'c> {
     }
 
     /// Whether the sparse warm-start pipeline has solved at least once
-    /// (i.e. warm matching state exists over the sparse edges).
+    /// (i.e. warm state exists over the sparse edges).
     pub fn sparse_warm_active(&self) -> bool {
         matches!(self.session, OpenSetSession::Sparse { warm: Some(_), .. })
     }

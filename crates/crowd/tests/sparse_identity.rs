@@ -1,16 +1,18 @@
-//! PR-acceptance matrix for the sparse warm-start pipeline: past the dense
-//! edge-cache cap, top-k solves run over incrementally-maintained candidate
-//! pools and a pool-scoped sparse edge cache with warm matching repair —
-//! and must be **byte-identical** to both the cold sparse path and the
-//! dense warm path (when the catalog fits under the cap), across churn
-//! levels, solver-thread counts, and a checkpoint → resume mid-sequence, down to the serialized progress bytes.
+//! Acceptance matrix for the sparse warm-start pipeline: past the dense
+//! edge-cache cap, top-k solves run over per-round candidate pools and a
+//! pool-scoped sparse edge cache with the LSAP memo — and must be
+//! **byte-identical** to both the cold sparse path and the dense warm path
+//! (when the catalog fits under the cap), across churn levels,
+//! solver-thread counts, and a checkpoint → resume mid-sequence, down to
+//! the serialized progress bytes.
 //!
 //! Two layers:
 //!
 //! 1. **Engine matrix** — `IterationEngine` with explicit open-set churn
 //!    (a fraction of already-assigned tasks re-released every iteration),
-//!    at churn {0, 1/64, 1/4} × threads {1, 2, 7}: sparse-warm ≡
-//!    dense-warm ≡ cold per iteration, assignments and objective bits.
+//!    at churn {0, 1/64, 1/4} × threads {1, 2, 7}: dense-warm ≡ cold per
+//!    iteration, assignments and objective bits. The engine solves over
+//!    every open task, so it has no pools and no sparse mode.
 //! 2. **Simulation matrix** — the full online experiment in `TopK`
 //!    candidate mode with the dense cap forced below the catalog (sparse
 //!    pipeline engaged) vs. warm-start off (sparse-cold) vs. the default
@@ -40,7 +42,6 @@ use rand::SeedableRng;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    SparseWarm,
     DenseWarm,
     Cold,
 }
@@ -90,7 +91,6 @@ fn run_churned(
 ) -> Vec<(Vec<(WorkerId, Vec<TaskId>)>, u64)> {
     let mut eng = engine(96, 3, seed);
     match mode {
-        Mode::SparseWarm => eng.enable_sparse_warm_start(),
         Mode::DenseWarm => {
             eng.enable_edge_reuse(threads);
             eng.enable_warm_start(threads);
@@ -127,18 +127,17 @@ fn run_churned(
     out
 }
 
-/// The fixed grid the PR names: churn {0, 1/64, 1/4} × threads {1, 2, 7},
-/// sparse-warm ≡ dense-warm ≡ cold per iteration, bit for bit.
+/// The engine layer's fixed grid: churn {0, 1/64, 1/4} × threads
+/// {1, 2, 7}, dense-warm ≡ cold per iteration, bit for bit. The engine
+/// solves over every open task, so it has no sparse mode of its own.
 #[test]
 fn engine_sparse_matrix_is_byte_identical() {
     for churn in [(0usize, 1usize), (1, 64), (1, 4)] {
         for threads in [1usize, 2, 7] {
             let ctx = format!("churn={}/{} threads={threads}", churn.0, churn.1);
-            let sparse = run_churned(Mode::SparseWarm, churn, threads, 42, 6);
             let dense = run_churned(Mode::DenseWarm, churn, threads, 42, 6);
             let cold = run_churned(Mode::Cold, churn, threads, 42, 6);
-            assert_eq!(sparse, dense, "{ctx}: sparse vs dense diverged");
-            assert_eq!(sparse, cold, "{ctx}: sparse vs cold diverged");
+            assert_eq!(dense, cold, "{ctx}: dense vs cold diverged");
         }
     }
 }
@@ -326,20 +325,5 @@ proptest! {
         cold_cfg.platform.warm_start = false;
         let cold = run(&cold_cfg);
         assert_results_identical(&sparse, &cold, &format!("{ctx} vs cold"));
-    }
-
-    /// The engine churn matrix under random seeds and churn fractions
-    /// between 0 and 1/2: sparse-warm ≡ cold every iteration.
-    #[test]
-    fn engine_sparse_warm_matches_cold_under_random_churn(
-        churn_num in 0usize..8,
-        threads_pick in 0usize..3,
-        seed in 0u64..1024,
-    ) {
-        let threads = [1usize, 2, 7][threads_pick];
-        let churn = (churn_num, 16);
-        let sparse = run_churned(Mode::SparseWarm, churn, threads, seed, 5);
-        let cold = run_churned(Mode::Cold, churn, threads, seed, 5);
-        prop_assert_eq!(sparse, cold);
     }
 }

@@ -6,6 +6,12 @@
 //! * [`greedy::greedy_matching`] — the classic ½-approximate greedy algorithm
 //!   for maximum-weight matching on a general graph. HTA-APP and HTA-GRE both
 //!   use it to compute the diversity matching `M_B` (Algorithm 1, line 2).
+//! * [`incremental::IncrementalMatching`] — the same greedy matching over
+//!   the open subset of a fixed, presorted catalog-wide edge list, repaired
+//!   locally as tasks close and reopen instead of rescanned. It is the one
+//!   incremental matcher: the dense warm-start path in `hta-core` carries
+//!   it between solves, while a sparse (pool-scoped) solve rescans its
+//!   pool's few edges with [`greedy::greedy_matching_presorted`].
 //! * [`lsap`] — solvers for the **Linear Sum Assignment Problem**
 //!   (maximize `Σ_k f_{k, σ(k)}` over permutations `σ`):
 //!   * [`lsap::jv::solve`] — exact Jonker–Volgenant, `O(n³)` worst case with
@@ -46,13 +52,11 @@
 #![warn(missing_docs)]
 
 pub mod costs;
-pub mod dynamic;
 pub mod greedy;
 pub mod incremental;
 pub mod lsap;
 
 pub use costs::{ClassedCosts, CostMatrix, DenseMatrix};
-pub use dynamic::DynamicMatching;
 pub use greedy::{edge_order, greedy_matching, greedy_matching_presorted, Matching, WeightedEdge};
 pub use incremental::{IncrementalMatching, UpdateStats};
 pub use lsap::LsapSolution;
