@@ -7,14 +7,18 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::hint::black_box;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hta_core::prelude::*;
 use hta_core::solver::LocalSearch;
+use hta_core::{OpenSetSession, Round, RoundOutcome};
 use hta_datagen::amt::{generate_exact, AmtConfig};
 use hta_datagen::crowdflower::{CrowdflowerCatalog, CrowdflowerConfig};
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
-use hta_index::{CandidatePool, InvertedIndex, PoolParams};
+use hta_index::{
+    assign_round, CandidateMode, CandidatePool, FullWindow, InvertedIndex, PoolParams,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -251,6 +255,35 @@ fn bench_index_classes(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `TopK(16)` round over every corpus task, as the platform runs it:
+/// pool generation, the pool-local instance, the solve under `solver`.
+fn sparse_round(
+    c: &Corpus,
+    index: &InvertedIndex,
+    xmax: usize,
+    solver: &dyn Solver,
+) -> RoundOutcome {
+    let round = Round {
+        workers: c.workers.clone(),
+        task: &|t| &c.tasks[t as usize],
+        xmax,
+        distance: Arc::new(Jaccard),
+        solver,
+    };
+    assign_round(
+        &mut OpenSetSession::Off,
+        CandidateMode::TopK(16),
+        FullWindow::All,
+        index,
+        &vec![true; c.tasks.len()],
+        round,
+        &mut StdRng::seed_from_u64(3),
+    )
+    .unwrap()
+    .expect("tasks are open")
+    .0
+}
+
 /// The headline comparison: dense instance build + HTA-GRE solve over the
 /// whole catalog vs sparse pool build + solve over the candidates. Dense is
 /// Θ(|T|²) so it only runs at 1k; the printed objective ratio shows what
@@ -273,17 +306,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("sparse-topk16", n), &corpus, |b, c| {
         b.iter(|| {
             let index = build_index(c);
-            let pool = CandidatePool::generate(&index, &c.workers, xmax, &PoolParams::with_k(16));
-            let built = pool
-                .build_instance(&c.tasks, &c.workers, xmax, hta_par::default_threads())
-                .unwrap();
-            let mut rng = StdRng::seed_from_u64(3);
-            black_box(
-                solver
-                    .solve(&built.instance, &mut rng)
-                    .assignment
-                    .assigned_count(),
-            )
+            black_box(sparse_round(c, &index, xmax, &solver).tasks_of(0).count())
         })
     });
     group.finish();
@@ -295,18 +318,13 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     let dense_out = solver.solve(&inst, &mut rng);
     let dense_obj = dense_out.assignment.objective(&inst);
     let index = build_index(&corpus);
-    let pool = CandidatePool::generate(&index, &corpus.workers, xmax, &PoolParams::with_k(16));
-    let built = pool
-        .build_instance(&corpus.tasks, &corpus.workers, xmax, 1)
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(3);
-    let sparse_out = solver.solve(&built.instance, &mut rng);
-    let sparse_obj = sparse_out.assignment.objective(&built.instance);
+    let sparse_out = sparse_round(&corpus, &index, xmax, &solver);
+    let sparse_obj = sparse_out.objective();
     println!(
         "index/dense-vs-sparse objective: dense {dense_obj:.4}, sparse {sparse_obj:.4} \
          (ratio {:.3}, pool {} of {n} tasks)",
         sparse_obj / dense_obj,
-        pool.len()
+        sparse_out.members().len()
     );
 
     // Corrected baseline: the raw ratio above is NOT a retrieval win — both
@@ -318,11 +336,7 @@ fn bench_dense_vs_sparse(c: &mut Criterion) {
     let polished = LocalSearch::new(HtaGre::structured().without_flip(), 4);
     let mut rng = StdRng::seed_from_u64(3);
     let dense_ls = polished.solve(&inst, &mut rng).assignment.objective(&inst);
-    let mut rng = StdRng::seed_from_u64(3);
-    let sparse_ls = polished
-        .solve(&built.instance, &mut rng)
-        .assignment
-        .objective(&built.instance);
+    let sparse_ls = sparse_round(&corpus, &index, xmax, &polished).objective();
     println!(
         "index/dense-vs-sparse objective (local-search polished): dense {dense_ls:.4}, \
          sparse {sparse_ls:.4} (ratio {:.3})",

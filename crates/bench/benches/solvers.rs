@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the end-to-end solvers (Fig. 2a at
 //! regression-tracking sizes): HTA-APP vs HTA-GRE vs baselines, plus the
-//! parallel-pipeline thread sweep and the per-iteration edge-reuse path.
+//! parallel-pipeline thread sweep, the per-iteration edge-reuse path, and
+//! one round over a dense-cached catalog by each route (`solvers/round`).
 //!
 //! Besides the criterion output, the run emits `BENCH_solvers.json` at the
 //! repo root: a `machine` block (cores, SIMD mode, commit, measured scoped
@@ -23,6 +24,7 @@ use hta_core::solver::{
 };
 use hta_core::sparse::SparseEdgeCache;
 use hta_core::DiversityEdgeCache;
+use hta_datagen::crowdflower::{CrowdflowerCatalog, CrowdflowerConfig};
 use hta_index::{CandidatePool, InvertedIndex, PoolParams};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -232,6 +234,203 @@ fn bench_warm(c: &mut Criterion) {
                 )
             })
         });
+    }
+    group.finish();
+}
+
+// ---- One round over a dense-cached catalog: the pair rule ------------------
+
+/// Catalog size of the round rows: the 4,000-task CrowdFlower catalog of
+/// perfbench's sim-dense, under the 4,096-task dense cap.
+const ROUND_CATALOG: usize = 4_000;
+/// Pool sizes of the round rows, around the guard ladder's pair rule
+/// (`m(m−1)/2 ≥ n`: from 90 tasks on for 4,000): TopK pools of one and four
+/// workers, a larger pool, and a Full window (`max_instance_tasks`).
+const ROUND_POOLS: [usize; 4] = [20, 80, 200, 1_200];
+/// `X_max` of the round rows (the platform default).
+const ROUND_XMAX: usize = 15;
+
+/// The routes a round over a dense-cached catalog can take.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Warm repair over the catalog-wide edge list.
+    Warm,
+    /// The catalog-wide list filtered to the pool.
+    Edges,
+    /// A cold solve over the pool's own pairs.
+    Cold,
+}
+
+impl Route {
+    const ALL: [Route; 3] = [Route::Warm, Route::Edges, Route::Cold];
+
+    fn name(self) -> &'static str {
+        match self {
+            Route::Warm => "warm",
+            Route::Edges => "edges",
+            Route::Cold => "cold",
+        }
+    }
+}
+
+/// What changes between two consecutive rounds of the round rows.
+#[derive(Clone, Copy)]
+enum Churn {
+    /// One pool task is swapped for one outside the pool: a steady Full
+    /// window, the warm route's best case.
+    One,
+    /// The next pool is disjoint: successive TopK pools of different
+    /// workers, or fresh Full-window samples.
+    All,
+}
+
+impl Churn {
+    const ALL: [Churn; 2] = [Churn::One, Churn::All];
+
+    /// The pool a round alternates with pool `0`.
+    fn side(self) -> usize {
+        match self {
+            Churn::One => 1,
+            Churn::All => 2,
+        }
+    }
+
+    fn pct(self) -> usize {
+        match self {
+            Churn::One => 1,
+            Churn::All => 100,
+        }
+    }
+}
+
+/// The round rows' catalog (keyword vectors widened to one universe), its
+/// dense edge cache (built), one worker, and for every pool size three
+/// ascending pools: a base pool, the base with one task swapped, and a
+/// pool disjoint from the base.
+struct RoundHarness {
+    cache: DiversityEdgeCache,
+    /// Per pool size: the three pools (catalog ids) and their instances.
+    pools: Vec<[(Vec<u32>, Instance); 3]>,
+}
+
+impl RoundHarness {
+    fn build() -> Self {
+        let catalog = CrowdflowerCatalog::generate(&CrowdflowerConfig {
+            n_tasks: ROUND_CATALOG,
+            seed: 1,
+            ..CrowdflowerConfig::default()
+        });
+        let width = catalog.space.len();
+        let tasks: Vec<Task> = catalog
+            .tasks
+            .iter()
+            .map(|m| Task::new(m.task.id, m.task.group, m.task.keywords.widened(width)))
+            .collect();
+        let workers = vec![Worker::new(WorkerId(0), tasks[0].keywords.clone())
+            .with_weights(Weights::from_alpha(0.5))];
+        let cache = DiversityEdgeCache::build(&tasks, &Jaccard, 1);
+        cache.edges();
+        let mut rng = StdRng::seed_from_u64(0x20_0D);
+        let pools = ROUND_POOLS
+            .iter()
+            .map(|&m| {
+                let mut ids: Vec<u32> = (0..ROUND_CATALOG as u32).collect();
+                for i in 0..2 * m {
+                    let j = rng.random_range(i..ids.len());
+                    ids.swap(i, j);
+                }
+                let pool = |ids: &[u32]| {
+                    let mut ids = ids.to_vec();
+                    ids.sort_unstable();
+                    let open: Vec<usize> = ids.iter().map(|&t| t as usize).collect();
+                    let inst = sub_instance(&tasks, &workers, &open, ROUND_XMAX);
+                    (ids, inst)
+                };
+                let mut swapped = ids[..m].to_vec();
+                swapped[0] = ids[m];
+                [pool(&ids[..m]), pool(&swapped), pool(&ids[m..2 * m])]
+            })
+            .collect();
+        Self { cache, pools }
+    }
+
+    /// Solve pool `side` of size index `p` by `route` (`warm` carries the
+    /// warm route's state), returning the outcome and its wall-clock.
+    fn solve(
+        &self,
+        route: Route,
+        p: usize,
+        side: usize,
+        warm: &mut WarmState,
+    ) -> (hta_core::solver::SolveOutcome, Duration) {
+        let (open, inst) = &self.pools[p][side];
+        let solver = HtaGre::structured().with_threads(1);
+        let mut rng = StdRng::seed_from_u64(1);
+        let start = std::time::Instant::now();
+        let out = match route {
+            Route::Warm => solver.solve_warm(inst, &self.cache, warm, open, &mut rng),
+            Route::Edges => {
+                solver.solve_with_diversity_edges(inst, &self.cache.filter_sorted(open), &mut rng)
+            }
+            Route::Cold => solver.solve(inst, &mut rng),
+        };
+        (out, start.elapsed())
+    }
+
+    /// The routes and churns of the round rows: the warm route at each
+    /// churn, the stateless routes once.
+    fn cases() -> impl Iterator<Item = (Route, Churn)> {
+        Route::ALL.into_iter().flat_map(|route| {
+            let churns: &[Churn] = match route {
+                Route::Warm => &Churn::ALL,
+                _ => &[Churn::All],
+            };
+            churns.iter().map(move |&churn| (route, churn))
+        })
+    }
+
+    /// Best-of-`runs` wall-clock of one round on pool `0` by `route`,
+    /// alternating with the pool `churn` names (unmeasured).
+    fn best_round(
+        &self,
+        runs: usize,
+        route: Route,
+        churn: Churn,
+        p: usize,
+    ) -> (hta_core::solver::SolveOutcome, Duration) {
+        let mut warm = WarmState::new(&self.cache);
+        self.solve(route, p, churn.side(), &mut warm);
+        best_of(runs, || {
+            let measured = self.solve(route, p, 0, &mut warm);
+            self.solve(route, p, churn.side(), &mut warm);
+            measured
+        })
+    }
+}
+
+/// One round per pool size over the 4,000-task catalog by each route: the
+/// measurement behind the guard ladder's `m(m−1)/2 ≥ n` rule. The warm
+/// route alternates between pools that differ in one task (its best case)
+/// or in every task.
+fn bench_round(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solvers/round");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    let h = RoundHarness::build();
+    for (p, &m) in ROUND_POOLS.iter().enumerate() {
+        for (route, churn) in RoundHarness::cases() {
+            let mut warm = WarmState::new(&h.cache);
+            h.solve(route, p, churn.side(), &mut warm);
+            let mut side = 0;
+            let id = format!("{}/c{}", route.name(), churn.pct());
+            group.bench_function(BenchmarkId::new(id, m), |b| {
+                b.iter(|| {
+                    let (out, _) = h.solve(route, p, side, &mut warm);
+                    side = if side == 0 { churn.side() } else { 0 };
+                    black_box(out.assignment.assigned_count())
+                })
+            });
+        }
     }
     group.finish();
 }
@@ -609,13 +808,13 @@ fn body_samples() -> Vec<BodySample> {
             black_box(lsap_greedy::solve_with_threads(&classed, t).value);
         },
     );
-    // Pool instances past the auto-cache cap build the dense diversity
-    // cache on the solver threads.
+    // Instances past the auto-cache cap build the dense diversity cache on
+    // the solver threads when a caller opts in.
     let (pool_tasks, pool_workers) = build_pools(4_200, 420, 20, 0x55);
     time_body(
         &mut out,
         "Instance::build_diversity_cache_parallel",
-        "CandidatePool::build_instance past 4096 tasks",
+        "explicit opt-in past the 4096-task auto cache",
         "4200 tasks".into(),
         |t| {
             let mut inst = Instance::new(pool_tasks.clone(), pool_workers.clone(), 10).unwrap();
@@ -817,6 +1016,36 @@ fn emit_phase_json() {
         }
     }
 
+    // Round rows: one round per pool size, route and churn over the
+    // 4,000-task catalog. Every route must agree bit for bit.
+    let h = RoundHarness::build();
+    println!("round (pool, warm_c1_s, warm_c100_s, edges_s, cold_s):");
+    for (p, &m) in ROUND_POOLS.iter().enumerate() {
+        let mut walls = Vec::new();
+        let mut lsap_bits = Vec::new();
+        for (route, churn) in RoundHarness::cases() {
+            let (out, wall) = h.best_round(runs, route, churn, p);
+            lsap_bits.push(out.lsap_value.to_bits());
+            walls.push(format!("{:.6}", wall.as_secs_f64()));
+            samples.push(PhaseSample {
+                label: format!("hta-gre-structured/round/p{m}/{}", route.name()),
+                n_tasks: ROUND_CATALOG,
+                threads: 1,
+                churn_pct: Some(churn.pct()),
+                pool: None,
+                edge_enum: out.timings.edge_enum,
+                matching: out.timings.matching,
+                lsap: out.timings.lsap,
+                total: wall,
+            });
+        }
+        assert!(
+            lsap_bits.iter().all(|&b| b == lsap_bits[0]),
+            "round routes diverged at pool {m}"
+        );
+        println!("  {m} {}", walls.join(" "));
+    }
+
     let bodies = body_samples();
     let mut json = format!(
         "{{\n  \"group\": \"solvers/parallel\",\n  \"machine\": {},\n  \"samples\": [\n",
@@ -875,6 +1104,7 @@ criterion_group!(
     bench_solvers,
     bench_parallel,
     bench_warm,
+    bench_round,
     bench_sparse
 );
 

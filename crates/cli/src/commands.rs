@@ -1,13 +1,14 @@
 //! CLI subcommand implementations.
 
 use std::error::Error;
+use std::sync::Arc;
 
 use hta_core::prelude::*;
-use hta_core::EdgeSource;
+use hta_core::{EdgeSource, OpenSetSession, Round};
 use hta_datagen::amt::{generate_exact, AmtConfig};
 use hta_datagen::export;
 use hta_datagen::workers::{synthetic_workers, SyntheticWorkerConfig};
-use hta_index::{CandidateMode, CandidatePool, InvertedIndex, PoolParams};
+use hta_index::{assign_round, CandidateMode, FullWindow, InvertedIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -168,49 +169,74 @@ pub fn solve(args: &Args) -> CmdResult {
         other => return Err(format!("unknown algorithm '{other}'").into()),
     };
 
-    // Sparse mode runs retrieval first and solves over the candidate pool;
-    // `back` maps pool-local task indices to the original catalog indices.
-    let (inst, back): (Instance, Option<Vec<u32>>) = match candidates {
-        CandidateMode::Full => (Instance::new(tasks, workers, xmax)?, None),
-        CandidateMode::TopK(k) => {
-            let pairs: Vec<(u32, &KeywordVec)> =
-                tasks.iter().map(|t| (t.id.0, &t.keywords)).collect();
-            let index = InvertedIndex::build(space.len(), &pairs);
-            let pool = CandidatePool::generate(&index, &workers, xmax, &PoolParams::with_k(k));
-            println!(
-                "candidates {candidates}: pool {} of {} tasks ({} from top-k retrieval)",
-                pool.len(),
-                tasks.len(),
-                pool.topk_hits()
-            );
-            let built = pool.build_instance(&tasks, &workers, xmax, hta_par::default_threads())?;
-            (built.instance, Some(built.catalog_ids))
+    // One assignment round over every catalog task (Full) or the top-k
+    // candidate pool (TopK); the outcome maps back to catalog indices.
+    let available = vec![true; tasks.len()];
+    let index = match candidates {
+        CandidateMode::Full => InvertedIndex::new(space.len()),
+        CandidateMode::TopK(_) => {
+            let pairs: Vec<(u32, &KeywordVec)> = tasks
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (i as u32, &t.keywords))
+                .collect();
+            InvertedIndex::build(space.len(), &pairs)
         }
     };
-    let global = |t: usize| back.as_ref().map_or(t, |b| b[t] as usize);
+    let n_workers = workers.len();
+    let round = Round {
+        workers: workers
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| Worker::new(WorkerId(i as u32), w.keywords).with_weights(w.weights))
+            .collect(),
+        task: &|t| &tasks[t as usize],
+        xmax,
+        distance: Arc::new(Jaccard),
+        solver: &*solver,
+    };
     let mut rng = StdRng::seed_from_u64(seed);
     let started = std::time::Instant::now();
-    let out = solver.solve(&inst, &mut rng);
+    // `None`: the catalog is empty, and so is every assignment.
+    let solved = assign_round(
+        &mut OpenSetSession::Off,
+        candidates,
+        FullWindow::All,
+        &index,
+        &available,
+        round,
+        &mut rng,
+    )?;
     let elapsed = started.elapsed();
-    out.assignment.validate(&inst)?;
+    let (n_tasks, hits, objective) = solved.as_ref().map_or((0, 0, 0.0), |(out, hits)| {
+        (out.members().len(), *hits, out.objective())
+    });
+    if let CandidateMode::TopK(_) = candidates {
+        println!(
+            "candidates {candidates}: pool {n_tasks} of {} tasks ({hits} from top-k retrieval)",
+            tasks.len()
+        );
+    }
+    let assigned: Vec<Vec<usize>> = (0..n_workers)
+        .map(|q| {
+            solved
+                .iter()
+                .flat_map(|(out, _)| out.tasks_of(q))
+                .map(|t| t as usize)
+                .collect()
+        })
+        .collect();
 
     println!(
-        "{}: |T|={} |W|={} X_max={} -> objective {:.4} ({} tasks assigned) in {:.3}s",
+        "{}: |T|={n_tasks} |W|={n_workers} X_max={xmax} -> objective {:.4} ({} tasks assigned) in \
+         {:.3}s",
         solver.name(),
-        inst.n_tasks(),
-        inst.n_workers(),
-        xmax,
-        out.assignment.objective(&inst),
-        out.assignment.assigned_count(),
+        objective,
+        assigned.iter().map(Vec::len).sum::<usize>(),
         elapsed.as_secs_f64()
     );
-    for q in 0..inst.n_workers() {
-        let mut ids: Vec<usize> = out
-            .assignment
-            .tasks_of(q)
-            .iter()
-            .map(|&t| global(t))
-            .collect();
+    for (q, ids) in assigned.iter().enumerate() {
+        let mut ids = ids.clone();
         ids.sort_unstable();
         println!("  worker {q}: {ids:?}");
     }
@@ -218,10 +244,8 @@ pub fn solve(args: &Args) -> CmdResult {
         // Tiers are a deterministic hash of the catalog index, so they are
         // stable across runs and candidate modes.
         let mut counts = [0usize; 4];
-        for q in 0..inst.n_workers() {
-            for &t in out.assignment.tasks_of(q) {
-                counts[mix.pick(global(t)).rank() as usize] += 1;
-            }
+        for &t in assigned.iter().flatten() {
+            counts[mix.pick(t).rank() as usize] += 1;
         }
         println!(
             "priorities: low={} normal={} high={} critical={}",
@@ -241,11 +265,11 @@ pub fn solve(args: &Args) -> CmdResult {
             header.push_str(",deadline_minutes");
         }
         let mut csv = header + "\n";
-        for q in 0..inst.n_workers() {
-            for &t in out.assignment.tasks_of(q) {
-                csv.push_str(&format!("{q},{}", global(t)));
+        for (q, ids) in assigned.iter().enumerate() {
+            for &t in ids {
+                csv.push_str(&format!("{q},{t}"));
                 if let Some(mix) = &priority_mix {
-                    csv.push_str(&format!(",{}", mix.pick(global(t)).label()));
+                    csv.push_str(&format!(",{}", mix.pick(t).label()));
                 }
                 if deadlines > 0.0 {
                     csv.push_str(&format!(",{deadlines}"));

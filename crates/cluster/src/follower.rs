@@ -49,7 +49,7 @@ impl Follower {
         })
     }
 
-    /// Bound how long [`Self::next`] blocks waiting for a frame.
+    /// Bound how long [`Self::next_update`] blocks waiting for a frame.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.reader.get_ref().set_read_timeout(timeout)
     }

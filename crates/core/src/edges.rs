@@ -2,11 +2,17 @@
 //!
 //! Enumerating and sorting the positive-weight diversity pairs is the
 //! `O(|T|²)` prefix of every QAP-pipeline solve (the sort is a linear-time
-//! placement by weight, [`sorted_positive_edges`]). In the iterative
-//! setting (engine iterations, the crowd platform's assign loop) the task
-//! catalog is fixed and only the *open* subset shrinks, so the pairwise
-//! diversities never change — the full sorted edge list can be computed once
-//! and each iteration just filters it down to the open tasks.
+//! placement by weight). In the iterative setting (engine iterations, the
+//! crowd platform's assign loop) the task catalog is fixed and only the
+//! *open* subset shrinks, so the pairwise diversities never change — the
+//! full sorted edge list can be computed once and each iteration just
+//! filters it down to the open tasks.
+//!
+//! A cache built over a catalog's keyword vectors under a popcount
+//! distance keeps the packed catalog and enumerates the list on its first
+//! [`DiversityEdgeCache::edges`] or [`DiversityEdgeCache::filter_sorted`]
+//! call, so a session whose solves never reach the list (every open
+//! subset too small to pay for a catalog-wide scan) never builds it.
 //!
 //! Correctness of the filter rests on a monotonicity argument: edges are
 //! sorted by [`edge_order`] (weight descending, ties by the `(u, v)` id
@@ -19,6 +25,7 @@
 
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use hta_matching::{edge_order, WeightedEdge};
 
@@ -401,15 +408,18 @@ pub(crate) fn sorted_positive_edges(pairs: &impl PairScan, threads: usize) -> Ve
 #[derive(Debug, Clone)]
 pub struct DiversityEdgeCache {
     n: usize,
-    edges: Vec<WeightedEdge>,
+    /// The list, set at construction or on first use from `packed`.
+    edges: OnceLock<Vec<WeightedEdge>>,
+    /// The packed catalog and thread count a lazy cache enumerates from.
+    packed: Option<(kernels::PackedCatalog, usize)>,
     /// [`keywords_fingerprint`] of the catalog the cache was built from.
     fingerprint: u64,
 }
 
 impl DiversityEdgeCache {
     /// The positive-diversity pairs of `tasks` under `distance`, in
-    /// [`edge_order`], built on up to `threads` threads
-    /// ([`sorted_positive_edges`]).
+    /// [`edge_order`], enumerated on up to `threads` threads — on first use
+    /// when `distance` supports the popcount kernels, otherwise here.
     pub fn build(tasks: &[Task], distance: &(dyn Distance + Send + Sync), threads: usize) -> Self {
         let keywords: Vec<&KeywordVec> = tasks.iter().map(|t| &t.keywords).collect();
         Self::build_over(&keywords, distance, threads)
@@ -423,18 +433,22 @@ impl DiversityEdgeCache {
         threads: usize,
     ) -> Self {
         let n = keywords.len();
-        let edges = if distance.supports_popcount_kernels() && n > 1 {
+        let fingerprint = keywords_fingerprint(keywords.iter().copied());
+        if distance.supports_popcount_kernels() && n > 1 {
             let cat =
                 kernels::PackedCatalog::from_vecs(keywords[0].nbits(), keywords.iter().copied());
-            sorted_positive_edges(&cat, threads)
-        } else {
-            let weight = |u: usize, v: usize| distance.dist(keywords[u], keywords[v]);
-            sorted_positive_edges(&ByClosure { n, weight }, threads)
-        };
-        let fingerprint = keywords_fingerprint(keywords.iter().copied());
+            return Self {
+                n,
+                edges: OnceLock::new(),
+                packed: Some((cat, threads)),
+                fingerprint,
+            };
+        }
+        let weight = |u: usize, v: usize| distance.dist(keywords[u], keywords[v]);
         Self {
             n,
-            edges,
+            edges: sorted_positive_edges(&ByClosure { n, weight }, threads).into(),
+            packed: None,
             fingerprint,
         }
     }
@@ -449,7 +463,8 @@ impl DiversityEdgeCache {
         let fingerprint = keywords_fingerprint(inst.tasks().iter().map(|t| &t.keywords));
         Self {
             n,
-            edges,
+            edges: edges.into(),
+            packed: None,
             fingerprint,
         }
     }
@@ -476,16 +491,29 @@ impl DiversityEdgeCache {
         self.fingerprint == keywords_fingerprint(keywords)
     }
 
-    /// The full sorted edge list (global task indices).
+    /// The full sorted edge list (global task indices), enumerated on the
+    /// first call of a lazy cache.
     pub fn edges(&self) -> &[WeightedEdge] {
-        &self.edges
+        self.edges.get_or_init(|| {
+            let (cat, threads) = self
+                .packed
+                .as_ref()
+                .expect("a lazy cache keeps its catalog");
+            sorted_positive_edges(cat, *threads)
+        })
+    }
+
+    /// Whether the edge list exists yet (observability and tests).
+    pub fn is_built(&self) -> bool {
+        self.edges.get().is_some()
     }
 
     /// Filter the sorted list down to the open subset `open` (strictly
     /// increasing global indices), remapping endpoints to positions within
     /// `open`. The result is sorted by [`edge_order`] in the local ids —
     /// exactly what enumerating and sorting the sub-instance would produce —
-    /// and is suitable for `greedy_matching_presorted`.
+    /// and is suitable for `greedy_matching_presorted`. It scans every
+    /// catalog edge, enumerating a lazy cache's list first.
     ///
     /// # Panics
     /// Debug builds panic when `open` is not strictly increasing or contains
@@ -504,7 +532,7 @@ impl DiversityEdgeCache {
         let mut out = Vec::with_capacity(initial_edge_reserve(
             open.len().saturating_sub(1) * open.len() / 2,
         ));
-        for e in &self.edges {
+        for e in self.edges() {
             let lu = local[e.u as usize];
             let lv = local[e.v as usize];
             if lu != ABSENT && lv != ABSENT {

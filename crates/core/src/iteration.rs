@@ -2,7 +2,7 @@
 //!
 //! Task assignment runs in iterations: at iteration `i` the engine freezes
 //! the available tasks `T^i` and workers `W^i` (with their current weight
-//! estimates) into an [`Instance`], solves HTA with the configured solver,
+//! estimates) into an [`Instance`](crate::Instance), solves HTA with the configured solver,
 //! and *drops assigned tasks from subsequent iterations* ("Once assigned, a
 //! task is dropped from subsequent iterations"). Worker weights may be
 //! updated between iterations from completion observations

@@ -78,7 +78,8 @@ pub enum OpenSetSession {
     Off,
     /// Catalog-wide edges; `warm` is `Some` iff warm start is on.
     Dense {
-        /// The catalog's sorted positive-diversity edge list.
+        /// The catalog's sorted positive-diversity edge list, enumerated
+        /// on first use.
         cache: DiversityEdgeCache,
         /// Matching state carried between solves, bound to `cache`.
         warm: Option<WarmState>,
@@ -97,9 +98,12 @@ pub enum OpenSetSession {
 impl OpenSetSession {
     /// Build the state `source` calls for over a catalog with task
     /// `keywords` (catalog order). Only a dense source reads the vectors:
-    /// its edge list is enumerated here under `distance` on `threads`
-    /// threads (`0` = auto). A sparse cache only takes the catalog size,
-    /// and nothing hashes the catalog.
+    /// it fingerprints and packs them, and enumerates the edge list under
+    /// `distance` on `threads` threads (`0` = auto) on the first solve
+    /// whose open set pays for it (eagerly for a distance without the
+    /// popcount kernels); its warm matching likewise waits for the first
+    /// warm solve. A sparse cache only takes the catalog size, and nothing
+    /// hashes the catalog.
     pub fn new<'a>(
         source: EdgeSource,
         keywords: impl ExactSizeIterator<Item = &'a KeywordVec>,
@@ -183,7 +187,7 @@ impl OpenSetSession {
 
     /// Re-check a dense cache against the catalog's `fingerprint`
     /// ([`keywords_fingerprint`](crate::edges::keywords_fingerprint) of its
-    /// task vectors): on a mismatch it is rebuilt in place from
+    /// task vectors): on a mismatch it is rebuilt in place, lazily, from
     /// `keywords()` (re-binding any warm state). `keywords` runs only on a
     /// mismatch. Merely bypassing a stale cache would re-enumerate edges on
     /// every later solve.
@@ -298,6 +302,11 @@ pub struct RoundOutcome {
 }
 
 impl RoundOutcome {
+    /// The members solved over, as catalog ids in local task order.
+    pub fn members(&self) -> &[u32] {
+        &self.members
+    }
+
     /// The catalog ids assigned to the cohort's `worker`-th member.
     pub fn tasks_of(&self, worker: usize) -> impl Iterator<Item = u32> + '_ {
         let members = &self.members;
@@ -512,6 +521,84 @@ mod tests {
     /// Task keywords lie in `0..TASK_BITS`; a worker outside that range has
     /// relevance 0 to every task.
     const TASK_BITS: usize = 12;
+
+    /// A dense warm session over a 1,000-task catalog serves TopK-sized
+    /// rounds cold, without enumerating the edge list or building the
+    /// matching; the first Full-sized window builds both and solves warm.
+    /// Every round equals an Off session's, byte for byte.
+    #[test]
+    fn small_rounds_leave_the_dense_cache_unbuilt() {
+        let n = 1_000;
+        let mut mix = Mix(7);
+        let catalog: Vec<Task> = (0..n)
+            .map(|i| {
+                let kws: Vec<usize> = (0..1 + mix.below(3)).map(|_| mix.below(16)).collect();
+                Task::new(
+                    TaskId(i as u32),
+                    GroupId(0),
+                    KeywordVec::from_indices(16, &kws),
+                )
+            })
+            .collect();
+        let workers: Vec<Worker> = (0..2)
+            .map(|q| {
+                Worker::new(WorkerId(q), KeywordVec::from_indices(16, &[q as usize]))
+                    .with_weights(Weights::from_alpha(0.6))
+            })
+            .collect();
+        let keywords = catalog.iter().map(|t| &t.keywords);
+        let source = EdgeSource::Dense { warm: true };
+        let mut dense = OpenSetSession::new(source, keywords, &Jaccard, 1);
+        let mut off = OpenSetSession::Off;
+        let (by_dense, by_off) = (Logged::new(), Logged::new());
+        let task = |t: u32| &catalog[t as usize];
+        let built = |s: &OpenSetSession| {
+            let (cache, warm) = (s.dense_cache().unwrap(), s.warm().unwrap());
+            (cache.is_built(), warm.has_matching())
+        };
+
+        // 45 members hold 990 pairs, ten short of paying for the list; 46
+        // hold 1,035. The last round is a Full window over every task.
+        let pools = [
+            mix.pool(n, 16, &[]),
+            mix.pool(n, 20, &[]),
+            mix.pool(n, 45, &[]),
+            (0..46).map(|i| 3 * i + 1).collect(),
+            mix.pool(n, 20, &[]),
+            (0..n as u32).collect(),
+        ];
+        for (step, pool) in pools.iter().enumerate() {
+            let seed = step as u64;
+            let out_dense = dense
+                .solve_round(
+                    pool.clone(),
+                    round_of(&workers, &task, &by_dense),
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
+            let out_off = off
+                .solve_round(
+                    pool.clone(),
+                    round_of(&workers, &task, &by_off),
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
+            for q in 0..workers.len() {
+                assert_eq!(
+                    out_dense.tasks_of(q).collect::<Vec<_>>(),
+                    out_off.tasks_of(q).collect::<Vec<_>>(),
+                    "step {step} worker {q}"
+                );
+            }
+            let ((entry, dense_bits), (_, off_bits)) = (by_dense.last(), by_off.last());
+            assert_eq!(dense_bits, off_bits, "step {step} lsap_value");
+            let warm = pool.len() * (pool.len() - 1) / 2 >= n;
+            assert_eq!(entry, if warm { "warm" } else { "cold" }, "step {step}");
+            let expect_built = step >= 3;
+            assert_eq!(built(&dense), (expect_built, expect_built), "step {step}");
+        }
+        assert_eq!(dense.warm().unwrap().open_list().len(), n);
+    }
 
     proptest! {
         /// A Sparse session and an Off session driven through

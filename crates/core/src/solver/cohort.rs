@@ -3,13 +3,17 @@
 //! Serving layers (the `hta-server` platform, the `hta-crowd` simulator)
 //! repeatedly solve instances whose tasks are an *open subset* of one
 //! immutable catalog. Enumerating the `O(|T'|²)` positive-diversity edges
-//! per solve dominates the pipeline; a catalog-level
+//! per solve dominates the pipeline on large subsets; a catalog-level
 //! [`DiversityEdgeCache`] amortizes that work across every solve. Reuse is
 //! only sound when the subset is given in strictly increasing catalog
 //! order — then [`DiversityEdgeCache::filter_sorted`] reproduces a fresh
 //! enumerate-and-sort bit-for-bit and the solver output is byte-identical
-//! to the uncached path. This module centralizes that soundness check so
-//! each caller does not reimplement it.
+//! to the uncached path — and it only pays when the subset holds at least
+//! as many pairs as the catalog has tasks: a filtered solve scans every
+//! catalog edge and a warm repair scans a catalog-wide incidence row per
+//! changed task, while a cold solve enumerates only the subset's own
+//! pairs. This module centralizes both checks so each caller does not
+//! reimplement them.
 
 use rand::Rng;
 
@@ -18,17 +22,27 @@ use crate::instance::Instance;
 use crate::solver::{SolveOutcome, Solver, SparseWarmState, WarmState};
 use crate::sparse::SparseEdgeCache;
 
+/// Whether `cache` may serve a solve over the catalog subset `open`: the
+/// subset is strictly increasing (so the filtered sublist of the global
+/// sorted edge list equals enumerating and sorting the sub-instance), in
+/// range for the cached catalog, and holds at least as many pairs as the
+/// catalog has tasks, `m(m−1)/2 ≥ n` (below that a cold solve, which
+/// enumerates only its own pairs, is cheaper than any catalog-wide scan).
+fn cache_serves(cache: &DiversityEdgeCache, open: &[usize]) -> bool {
+    let m = open.len();
+    open.windows(2).all(|w| w[0] < w[1])
+        && open.last().is_none_or(|&g| g < cache.n_tasks())
+        && m * m.saturating_sub(1) / 2 >= cache.n_tasks()
+}
+
 /// Solve `inst`, whose tasks are the catalog subset `open` (catalog
 /// indices, one per local task id, in local order), reusing `cache` when
-/// that is provably equivalent to a fresh solve.
+/// that is provably equivalent to a fresh solve and cheaper than one.
 ///
-/// The cached edge list is used only when all of the following hold,
-/// otherwise the call falls back to [`Solver::solve`]:
-///
-/// * a cache is supplied,
-/// * `open` is strictly increasing (so the filtered sublist of the global
-///   sorted edge list equals enumerating and sorting the sub-instance),
-/// * every index in `open` is in range for the cached catalog.
+/// The cached edge list is used only when a cache is supplied and it
+/// serves `open` (strictly increasing, in range, and at least `n` pairs
+/// over an `n`-task catalog); otherwise the call falls back to
+/// [`Solver::solve`]. Either way the output is byte-identical.
 ///
 /// Callers holding a cache of uncertain provenance should additionally
 /// gate on [`DiversityEdgeCache::valid_for`] against their catalog before
@@ -40,11 +54,8 @@ pub fn solve_open_subset(
     cache: Option<&DiversityEdgeCache>,
     rng: &mut dyn Rng,
 ) -> SolveOutcome {
-    let usable = cache.is_some_and(|c| {
-        open.windows(2).all(|w| w[0] < w[1]) && open.last().is_none_or(|&g| g < c.n_tasks())
-    });
     match cache {
-        Some(cache) if usable => {
+        Some(cache) if cache_serves(cache, open) => {
             let open_u32: Vec<u32> = open.iter().map(|&i| i as u32).collect();
             let edges = cache.filter_sorted(&open_u32);
             solver.solve_with_diversity_edges(inst, &edges, rng)
@@ -55,14 +66,15 @@ pub fn solve_open_subset(
 
 /// [`solve_open_subset`] carrying warm-start state between solves.
 ///
-/// The warm path is taken only when *all* of [`solve_open_subset`]'s
-/// conditions hold **and** the warm state is bound to the supplied cache
-/// ([`WarmState::matches_cache`]) **and** the instance's task count equals
-/// the open-subset length. Any violation degrades gracefully — first to the
-/// plain edge-cache path, then to a cold solve — leaving `warm` untouched,
-/// so a caller whose open set momentarily loses sortedness (e.g. a
-/// downsampled candidate pool) pays only the cold cost for that call and
-/// resumes warm solving on the next sorted one.
+/// The warm path is taken only when the cache serves `open` (the same
+/// rule as [`solve_open_subset`]) **and** the warm state is bound to the
+/// supplied cache ([`WarmState::matches_cache`]) **and** the instance's
+/// task count equals the open-subset length. Any violation degrades
+/// gracefully — first to the plain edge-cache path, then to a cold solve —
+/// leaving `warm` untouched, so a caller whose open set momentarily loses
+/// sortedness (e.g. a downsampled candidate pool) or shrinks below the
+/// rule pays only the cold cost for that call and resumes warm solving on
+/// the next one the cache serves.
 pub fn solve_open_subset_warm(
     solver: &dyn Solver,
     inst: &Instance,
@@ -71,12 +83,11 @@ pub fn solve_open_subset_warm(
     warm: Option<&mut WarmState>,
     rng: &mut dyn Rng,
 ) -> SolveOutcome {
-    let usable = cache.is_some_and(|c| {
-        open.windows(2).all(|w| w[0] < w[1]) && open.last().is_none_or(|&g| g < c.n_tasks())
-    });
     match (cache, warm) {
         (Some(cache), Some(warm))
-            if usable && warm.matches_cache(cache) && inst.n_tasks() == open.len() =>
+            if cache_serves(cache, open)
+                && warm.matches_cache(cache)
+                && inst.n_tasks() == open.len() =>
         {
             let open_u32: Vec<u32> = open.iter().map(|&i| i as u32).collect();
             solver.solve_warm(inst, cache, warm, &open_u32, rng)

@@ -22,13 +22,18 @@
 //! fires exactly when a restart would be free anyway — when the instance
 //! did not change.
 //!
+//! The matching is built on the first [`update_open`](WarmState::update_open),
+//! not with the state, so a state whose solves all take another route
+//! never makes the cache enumerate its edge list.
+//!
 //! # Invariants
 //!
 //! A `WarmState` is bound to the [`DiversityEdgeCache`] it was created from
-//! (same catalog fingerprint, same edge count). All entry points that
-//! consume one guard that binding — [`matches_cache`](WarmState::matches_cache)
-//! mirrors the edge cache's own fingerprint guard — and fall back to the
-//! cold path on any violation rather than trusting stale state.
+//! (same catalog fingerprint and size, and once the matching exists, same
+//! edge count). All entry points that consume one guard that binding —
+//! [`matches_cache`](WarmState::matches_cache) mirrors the edge cache's own
+//! fingerprint guard — and fall back to the cold path on any violation
+//! rather than trusting stale state.
 
 use hta_matching::incremental::{IncrementalMatching, UpdateStats};
 use hta_matching::{LsapSolution, Matching};
@@ -47,9 +52,11 @@ pub struct WarmState {
     /// Fingerprint of the catalog (and so the edge cache) this state is
     /// bound to.
     fingerprint: u64,
+    /// Task count of that catalog.
+    n_tasks: usize,
     /// The greedy matching over the open subset, in catalog-global vertex
-    /// space, maintained incrementally.
-    inc: IncrementalMatching,
+    /// space, maintained incrementally; `None` until the first update.
+    inc: Option<Box<IncrementalMatching>>,
     /// Input-keyed memo of the last LSAP solution.
     pub(crate) memo: LsapMemo,
     /// Stats of the most recent open-set update (observability/tests).
@@ -57,13 +64,15 @@ pub struct WarmState {
 }
 
 impl WarmState {
-    /// Fresh warm state bound to `cache`, with an empty open set. The first
-    /// [`update_open`](Self::update_open) installs the initial matching via
-    /// a linear rebuild; subsequent calls repair incrementally.
+    /// Fresh warm state bound to `cache`, with an empty open set and no
+    /// matching. The first [`update_open`](Self::update_open) builds the
+    /// matching and installs the initial open set via a linear rebuild;
+    /// subsequent calls repair incrementally.
     pub fn new(cache: &DiversityEdgeCache) -> Self {
         Self {
             fingerprint: cache.fingerprint(),
-            inc: IncrementalMatching::new(cache.n_tasks(), cache.edges()),
+            n_tasks: cache.n_tasks(),
+            inc: None,
             memo: None,
             last_stats: UpdateStats::default(),
         }
@@ -73,10 +82,13 @@ impl WarmState {
     /// bound to plus the open set at snapshot time. The matching itself is
     /// *not* serialized — it is a deterministic function of (edge list,
     /// open set), so rebuilding it here is both cheaper than validating an
-    /// untrusted serialized matching and guaranteed byte-identical.
+    /// untrusted serialized matching and guaranteed byte-identical. An
+    /// empty open set builds nothing.
     pub fn restore(cache: &DiversityEdgeCache, open: &[u32]) -> Self {
         let mut state = Self::new(cache);
-        state.update_open(cache, open);
+        if !open.is_empty() {
+            state.update_open(cache, open);
+        }
         state
     }
 
@@ -86,27 +98,41 @@ impl WarmState {
     }
 
     /// The open set the current matching covers (strictly increasing
-    /// catalog indices) — this plus the fingerprint is the state's full
-    /// serialized form.
+    /// catalog indices; empty before the first update) — this plus the
+    /// fingerprint is the state's full serialized form.
     pub fn open_list(&self) -> &[u32] {
-        self.inc.open_list()
+        self.inc.as_ref().map_or(&[], |inc| inc.open_list())
+    }
+
+    /// Whether the matching exists yet (observability and tests).
+    pub fn has_matching(&self) -> bool {
+        self.inc.is_some()
     }
 
     /// Whether this state was built from (an identical twin of) `cache`.
     /// Callers must check this before handing the pair to a solver; on a
     /// mismatch the warm path falls back to the cold one, exactly like the
-    /// edge cache's own `valid_for` guard.
+    /// edge cache's own `valid_for` guard. Reads `cache`'s edge list only
+    /// once the matching exists, to compare edge counts.
     pub fn matches_cache(&self, cache: &DiversityEdgeCache) -> bool {
         self.fingerprint == cache.fingerprint()
-            && self.inc.n_vertices() == cache.n_tasks()
-            && self.inc.edges_len() == cache.edges().len()
+            && self.n_tasks == cache.n_tasks()
+            && self
+                .inc
+                .as_ref()
+                .is_none_or(|inc| inc.edges_len() == cache.edges().len())
     }
 
     /// Install a new open set (strictly increasing catalog indices),
-    /// repairing or rebuilding the matching as the delta size dictates.
+    /// building the matching on the first call, then repairing or
+    /// rebuilding it as the delta size dictates.
     pub fn update_open(&mut self, cache: &DiversityEdgeCache, open: &[u32]) -> UpdateStats {
         debug_assert!(self.matches_cache(cache));
-        let stats = self.inc.update_open(cache.edges(), open);
+        let edges = cache.edges();
+        let stats = self
+            .inc
+            .get_or_insert_with(|| Box::new(IncrementalMatching::new(self.n_tasks, edges)))
+            .update_open(edges, open);
         self.last_stats = stats;
         stats
     }
@@ -114,8 +140,14 @@ impl WarmState {
     /// Materialize the current matching in local (open-subset) ids over
     /// `n_out` padded vertices — byte-identical to running the presorted
     /// greedy over [`DiversityEdgeCache::filter_sorted`] of the open set.
+    ///
+    /// # Panics
+    /// Panics before the first [`update_open`](Self::update_open).
     pub fn extract_matching(&self, cache: &DiversityEdgeCache, n_out: usize) -> Matching {
-        self.inc.extract(cache.edges(), n_out)
+        self.inc
+            .as_ref()
+            .expect("extract_matching follows update_open")
+            .extract(cache.edges(), n_out)
     }
 
     /// Stats of the most recent [`update_open`](Self::update_open).

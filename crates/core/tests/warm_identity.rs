@@ -2,17 +2,22 @@
 //! at every churn level and thread count — same assigned sets, bit-equal
 //! LSAP value — including after the warm state is torn down to its
 //! serialized essence (fingerprint + open list) and rebuilt mid-sequence,
-//! which is exactly what `hta resume` does.
+//! which is exactly what `hta resume` does — and across the guard
+//! ladder's pair rule, where open sets too small to pay for the catalog's
+//! edge list solve cold.
+
+use std::cell::RefCell;
 
 use hta_core::bitvec::KeywordVec;
 use hta_core::edges::DiversityEdgeCache;
 use hta_core::instance::Instance;
-use hta_core::metric::Jaccard;
+use hta_core::metric::{Distance, Jaccard};
 use hta_core::solver::{
-    solve_open_subset, solve_open_subset_warm, HtaApp, HtaGre, Solver, WarmState,
+    solve_open_subset, solve_open_subset_warm, HtaApp, HtaGre, SolveOutcome, Solver, WarmState,
 };
 use hta_core::task::{GroupId, Task, TaskId};
 use hta_core::worker::{Weights, Worker, WorkerId};
+use hta_matching::WeightedEdge;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -123,6 +128,137 @@ fn assert_sequence_identical(
     Ok(())
 }
 
+/// A solver that records which entry point each solve took.
+struct Logged<S> {
+    inner: S,
+    entries: RefCell<Vec<&'static str>>,
+}
+
+impl<S: Solver> Logged<S> {
+    fn new(inner: S) -> Self {
+        Self {
+            inner,
+            entries: RefCell::new(Vec::new()),
+        }
+    }
+
+    fn took(&self, entry: &'static str) -> bool {
+        self.entries.borrow().contains(&entry)
+    }
+}
+
+impl<S: Solver> Solver for Logged<S> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn solve(&self, inst: &Instance, rng: &mut dyn rand::Rng) -> SolveOutcome {
+        self.entries.borrow_mut().push("cold");
+        self.inner.solve(inst, rng)
+    }
+
+    fn solve_with_diversity_edges(
+        &self,
+        inst: &Instance,
+        sorted_edges: &[WeightedEdge],
+        rng: &mut dyn rand::Rng,
+    ) -> SolveOutcome {
+        self.entries.borrow_mut().push("edges");
+        self.inner
+            .solve_with_diversity_edges(inst, sorted_edges, rng)
+    }
+
+    fn solve_warm(
+        &self,
+        inst: &Instance,
+        cache: &DiversityEdgeCache,
+        warm: &mut WarmState,
+        open: &[u32],
+        rng: &mut dyn rand::Rng,
+    ) -> SolveOutcome {
+        self.entries.borrow_mut().push("warm");
+        self.inner.solve_warm(inst, cache, warm, open, rng)
+    }
+}
+
+/// Fewest open tasks whose pairs pay for an `n`-task catalog's edge list:
+/// the smallest `m` with `m(m−1)/2 ≥ n`.
+fn min_cached_open(n: usize) -> usize {
+    (2..).find(|m| m * (m - 1) / 2 >= n).unwrap()
+}
+
+/// One warm state over a sequence of open sets that alternate between
+/// sizes the cache serves and sizes below the pair rule, rebuilt from its
+/// serialized essence before step `restore_at`. Every step must equal a
+/// plain cold solve; the warm state must only move on warm steps; both
+/// routes must fire.
+fn assert_sequence_crosses_the_rule(
+    inner: impl Solver,
+    n: usize,
+    large: &[bool],
+    seed: u64,
+    restore_at: usize,
+) -> Result<(), TestCaseError> {
+    let tasks = catalog(n);
+    let cache = DiversityEdgeCache::build(&tasks, &Jaccard, 1);
+    let solver = Logged::new(inner);
+    let mut warm = WarmState::new(&cache);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let threshold = min_cached_open(n);
+    for (step, &large) in large.iter().enumerate() {
+        if step == restore_at {
+            let snapshot_open = warm.open_list().to_vec();
+            warm = WarmState::restore(&cache, &snapshot_open);
+        }
+        let m = if large {
+            rng.random_range(threshold..=n)
+        } else {
+            rng.random_range(2..threshold)
+        };
+        let mut open: Vec<u32> = (0..n as u32).collect();
+        for i in 0..n {
+            open.swap(i, rng.random_range(i..n));
+        }
+        open.truncate(m);
+        open.sort_unstable();
+        let inst = sub_instance(&tasks, &open, 3);
+        let open_usize: Vec<usize> = open.iter().map(|&g| g as usize).collect();
+        let before = warm.open_list().to_vec();
+        let solve_seed = seed.wrapping_add(step as u64);
+        let hot = solve_open_subset_warm(
+            &solver,
+            &inst,
+            &open_usize,
+            Some(&cache),
+            Some(&mut warm),
+            &mut StdRng::seed_from_u64(solve_seed),
+        );
+        let cold = solver
+            .inner
+            .solve(&inst, &mut StdRng::seed_from_u64(solve_seed));
+        prop_assert_eq!(
+            hot.assignment.sets(),
+            cold.assignment.sets(),
+            "{} diverges at step {} ({} of {} tasks open)",
+            solver.name(),
+            step,
+            m,
+            n
+        );
+        prop_assert_eq!(hot.lsap_value.to_bits(), cold.lsap_value.to_bits());
+        let entry = *solver.entries.borrow().last().unwrap();
+        prop_assert_eq!(entry, if large { "warm" } else { "cold" }, "step {}", step);
+        if large {
+            prop_assert_eq!(warm.open_list(), &open[..], "step {}", step);
+        } else {
+            prop_assert_eq!(warm.open_list(), &before[..], "step {}", step);
+        }
+    }
+    prop_assert!(solver.took("warm") && solver.took("cold"));
+    prop_assert!(!solver.took("edges"));
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn solve_warm_is_byte_identical_to_cold(
@@ -163,6 +299,27 @@ proptest! {
         assert_sequence_identical(&gre, &tasks, &cache, churn, seed, Some(2))?;
         let auction = HtaApp::new().with_auction_lsap().with_threads(threads);
         assert_sequence_identical(&auction, &tasks, &cache, churn, seed, Some(3))?;
+    }
+
+    #[test]
+    fn warm_state_is_byte_identical_across_the_pair_rule(
+        seed in 0u64..1 << 40,
+        n in 30usize..50,
+        kinds in proptest::collection::vec(0usize..2, 6..10),
+        restore_at in 2usize..6,
+        threads_idx in 0usize..3,
+    ) {
+        // The first step builds the matching and the second solves below
+        // the rule, so both routes fire whatever the draw; the restore
+        // lands after a warm step.
+        let mut large: Vec<bool> = kinds.iter().map(|&k| k == 1).collect();
+        large[0] = true;
+        large[1] = false;
+        let threads = [1usize, 2, 7][threads_idx];
+        let gre = HtaGre::structured().with_threads(threads);
+        assert_sequence_crosses_the_rule(gre, n, &large, seed, restore_at)?;
+        let auction = HtaApp::new().with_auction_lsap().with_threads(threads);
+        assert_sequence_crosses_the_rule(auction, n, &large, seed, restore_at)?;
     }
 }
 
@@ -263,5 +420,65 @@ mod guards {
             assert_eq!(hot.lsap_value.to_bits(), cold.lsap_value.to_bits());
             assert!(warm.has_memo());
         }
+    }
+
+    #[test]
+    fn restoring_an_empty_open_list_builds_nothing() {
+        let tasks = catalog(40);
+        let cache = DiversityEdgeCache::build(&tasks, &Jaccard, 1);
+        let warm = WarmState::restore(&cache, &[]);
+        assert!(warm.matches_cache(&cache));
+        assert!(!warm.has_matching());
+        assert!(warm.open_list().is_empty());
+        assert!(!cache.is_built(), "the restore enumerated the edge list");
+        // A non-empty list rebuilds the matching over the built list.
+        let warm = WarmState::restore(&cache, &[1, 4, 9]);
+        assert!(warm.has_matching() && cache.is_built());
+        assert_eq!(warm.open_list(), &[1, 4, 9]);
+    }
+
+    /// Jaccard with every distance of at most 0.9 dropped to 0: the same
+    /// catalog fingerprint as [`Jaccard`], fewer edges.
+    struct FarOnly;
+
+    impl Distance for FarOnly {
+        fn dist(&self, a: &KeywordVec, b: &KeywordVec) -> f64 {
+            let d = Jaccard.dist(a, b);
+            if d > 0.9 {
+                d
+            } else {
+                0.0
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "far-only"
+        }
+
+        fn is_metric(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn binding_guard_reads_the_edge_list_only_once_the_matching_exists() {
+        let tasks = catalog(40);
+        let cache = DiversityEdgeCache::build(&tasks, &Jaccard, 1);
+        let twin = DiversityEdgeCache::build(&tasks, &FarOnly, 1);
+        assert_eq!(cache.fingerprint(), twin.fingerprint());
+        assert_ne!(cache.edges().len(), twin.edges().len());
+
+        let fresh = DiversityEdgeCache::build(&tasks, &Jaccard, 1);
+        let mut warm = WarmState::new(&fresh);
+        assert!(warm.matches_cache(&fresh));
+        assert!(!fresh.is_built(), "the guard enumerated the edge list");
+        // Before the matching exists, only the fingerprint and size bind.
+        assert!(warm.matches_cache(&twin));
+        let open: Vec<u32> = (0..40).collect();
+        warm.update_open(&fresh, &open);
+        assert!(warm.has_matching() && fresh.is_built());
+        // Once it exists, the edge count refuses the other list.
+        assert!(warm.matches_cache(&fresh) && warm.matches_cache(&cache));
+        assert!(!warm.matches_cache(&twin));
     }
 }

@@ -105,15 +105,20 @@ pub struct PlatformConfig {
     /// Only takes effect with [`reputation`](Self::reputation).
     pub price_weight: f64,
     /// Largest catalog for which the sorted diversity edge list is cached
-    /// (`0` = auto: `HTA_EDGE_CACHE_CAP` or the built-in default).
+    /// (`0` = auto: `HTA_EDGE_CACHE_CAP` or the built-in default). The list
+    /// is enumerated on the first solve whose open set holds at least as
+    /// many pairs as the catalog has tasks; smaller solves (TopK pools)
+    /// enumerate their own pairs and never build it.
     pub edge_cache_cap: usize,
     /// Carry the diversity matching forward between assignment iterations:
     /// the open set is diffed against the previous solve's, only the touched
     /// pairs are invalidated, and the matching is repaired locally instead of
     /// rebuilt from scratch. Requires [`reuse_edges`](Self::reuse_edges) (the
     /// warm state lives on top of the cached edge list) and is skipped when
-    /// the catalog exceeds the edge-cache cap. Assignments are byte-identical
-    /// either way, at any churn level and thread count.
+    /// the catalog exceeds the edge-cache cap. The matching is built on the
+    /// first solve that uses the cached list, so solves too small for it
+    /// leave the warm state empty. Assignments are byte-identical either
+    /// way, at any churn level and thread count.
     pub warm_start: bool,
 }
 
@@ -1133,7 +1138,7 @@ impl<'c> Platform<'c> {
         // Full mode samples `max_instance_tasks` open tasks uniformly when
         // more are open. The sample is unsorted, so the session's guards
         // then solve without edge reuse, byte-identically.
-        let Some(out) = assign_round(
+        let Some((out, _)) = assign_round(
             &mut self.session,
             self.cfg.candidates,
             FullWindow::Sample(self.cfg.max_instance_tasks),

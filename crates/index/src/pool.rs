@@ -1,14 +1,14 @@
-//! Candidate pools: from per-worker top-k retrieval to a pool-local
-//! [`Instance`].
+//! Candidate pools: per-worker top-k retrieval topped up to a feasible
+//! pool.
 //!
 //! The pool is the bridge between the retrieval layer and the HTA solvers.
 //! It unions every worker's top-k most relevant open tasks, then — because a
 //! pool smaller than `|W| · X_max` could make a full assignment infeasible —
 //! tops the pool up to that floor with *diversity-seeded* tasks: open tasks
 //! whose keywords are least represented in the pool so far, picked by a lazy
-//! greedy coverage rule. The result maps into a pool-local [`Instance`] that
-//! the solvers treat as any other instance, plus the index-back-to-catalog
-//! table needed to commit assignments against the real task ids.
+//! greedy coverage rule. An assignment round
+//! ([`assign_round`](crate::assign_round)) solves over the pool's members
+//! and maps the result back to catalog ids.
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -16,7 +16,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::str::FromStr;
 
 use hta_core::state::{StateDecodeError, StateReader, StateSerialize};
-use hta_core::{HtaError, Instance, Task, TaskId, Worker, WorkerId};
+use hta_core::Worker;
 
 use crate::InvertedIndex;
 
@@ -122,16 +122,6 @@ impl PoolParams {
     }
 }
 
-/// A pool-local instance plus the table mapping pool task indices back to
-/// the caller's catalog ids.
-pub struct PoolInstance {
-    /// The solver-facing instance over the pool's tasks (ids re-labelled
-    /// `0..pool len` in [`CandidatePool::members`] order).
-    pub instance: Instance,
-    /// `catalog_ids[pool_idx]` = the catalog id the pool task came from.
-    pub catalog_ids: Vec<u32>,
-}
-
 /// The union of per-worker top-k sets plus the diversity-seeded remainder.
 #[derive(Debug, Clone)]
 pub struct CandidatePool {
@@ -215,50 +205,6 @@ impl CandidatePool {
     /// diversity-seeded to reach the feasibility floor).
     pub fn topk_hits(&self) -> usize {
         self.topk_hits
-    }
-
-    /// Build the pool-local [`Instance`].
-    ///
-    /// `catalog` must be dense (task id == slice position), which holds for
-    /// both the platform catalog and an iteration's frozen `T^i`. Pool tasks
-    /// are re-labelled `0..len` and `catalog_ids` maps them back. Workers
-    /// are re-labelled `0..|W|` in the given order. Mid-sized pools get the
-    /// dense diversity cache automatically (sequentially) from
-    /// [`Instance::with_distance`]; pools above that auto-cap are cached
-    /// here with `threads` scoped threads so the solver never recomputes
-    /// pairs.
-    pub fn build_instance(
-        &self,
-        catalog: &[Task],
-        workers: &[Worker],
-        xmax: usize,
-        threads: usize,
-    ) -> Result<PoolInstance, HtaError> {
-        let mut tasks = Vec::with_capacity(self.members.len());
-        let mut catalog_ids = Vec::with_capacity(self.members.len());
-        for (pool_idx, &cat) in self.members.iter().enumerate() {
-            let mut t = catalog[cat as usize].clone();
-            t.id = TaskId(pool_idx as u32);
-            tasks.push(t);
-            catalog_ids.push(cat);
-        }
-        let workers: Vec<Worker> = workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                Worker::new(WorkerId(i as u32), w.keywords.clone()).with_weights(w.weights)
-            })
-            .collect();
-        let mut instance = Instance::new(tasks, workers, xmax)?;
-        if !instance.has_diversity_cache()
-            && instance.n_tasks() > hta_core::instance::AUTO_CACHE_MAX_TASKS
-        {
-            instance.build_diversity_cache_parallel(threads);
-        }
-        Ok(PoolInstance {
-            instance,
-            catalog_ids,
-        })
     }
 }
 
@@ -518,7 +464,7 @@ impl<'a> Seeding<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hta_core::{GroupId, KeywordVec, Weights};
+    use hta_core::{GroupId, KeywordVec, Task, TaskId, Weights, WorkerId};
 
     fn kw(nbits: usize, bits: &[usize]) -> KeywordVec {
         KeywordVec::from_indices(nbits, bits)
@@ -733,8 +679,15 @@ mod tests {
         assert_eq!(pool.members(), &[0, 1, 2]);
     }
 
+    /// A round over a pool solves the pool-local instance (tasks relabelled
+    /// `0..len` in member order, workers `0..|W|` with their weights) and
+    /// maps its assignment back to catalog ids.
     #[test]
     fn pool_instance_maps_back_to_catalog() {
+        use hta_core::{Instance, OpenSetSession, Round, Solver};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
         let nbits = 16;
         let specs: Vec<Vec<usize>> = (0..20)
             .map(|i| vec![i % nbits, (i * 3 + 2) % nbits])
@@ -743,20 +696,55 @@ mod tests {
         let (tasks, index) = catalog(nbits, &refs);
         let workers = vec![
             Worker::new(WorkerId(0), kw(nbits, &[0, 3])).with_weights(Weights::balanced()),
-            Worker::new(WorkerId(7), kw(nbits, &[5, 8])).with_weights(Weights::from_alpha(0.2)),
+            Worker::new(WorkerId(1), kw(nbits, &[5, 8])).with_weights(Weights::from_alpha(0.2)),
         ];
         let pool = CandidatePool::generate(&index, &workers, 3, &PoolParams::with_k(4));
-        let built = pool.build_instance(&tasks, &workers, 3, 2).unwrap();
-        assert_eq!(built.instance.n_tasks(), pool.len());
-        assert_eq!(built.instance.n_workers(), 2);
-        assert_eq!(built.catalog_ids.len(), pool.len());
-        // Pool task i carries the catalog task's keywords, re-labelled.
-        for (pool_idx, &cat) in built.catalog_ids.iter().enumerate() {
-            let pt = &built.instance.tasks()[pool_idx];
-            assert_eq!(pt.id, TaskId(pool_idx as u32));
-            assert_eq!(pt.keywords, tasks[cat as usize].keywords);
+        let solver = hta_core::solver::HtaGre::structured();
+        let round = Round {
+            workers: workers.clone(),
+            task: &|t| &tasks[t as usize],
+            xmax: 3,
+            distance: std::sync::Arc::new(hta_core::Jaccard),
+            solver: &solver,
+        };
+        let (out, hits) = crate::assign_round(
+            &mut OpenSetSession::Off,
+            CandidateMode::TopK(4),
+            crate::FullWindow::All,
+            &index,
+            &[true; 20],
+            round,
+            &mut StdRng::seed_from_u64(3),
+        )
+        .unwrap()
+        .expect("tasks are open");
+        assert_eq!(out.members(), pool.members());
+        assert_eq!(hits, pool.topk_hits());
+
+        // The same solve over a hand-built pool-local instance.
+        let local: Vec<Task> = pool
+            .members()
+            .iter()
+            .enumerate()
+            .map(|(i, &cat)| {
+                let t = &tasks[cat as usize];
+                Task::new(TaskId(i as u32), t.group, t.keywords.clone())
+            })
+            .collect();
+        let inst = Instance::new(local, workers, 3).unwrap();
+        let cold = solver.solve(&inst, &mut StdRng::seed_from_u64(3));
+        for q in 0..2 {
+            let want: Vec<u32> = cold
+                .assignment
+                .tasks_of(q)
+                .iter()
+                .map(|&l| pool.members()[l])
+                .collect();
+            assert_eq!(out.tasks_of(q).collect::<Vec<_>>(), want, "worker {q}");
         }
-        // Worker weights survive the re-labelling.
-        assert_eq!(built.instance.workers()[1].weights.alpha(), 0.2);
+        assert_eq!(
+            out.objective().to_bits(),
+            cold.assignment.objective(&inst).to_bits()
+        );
     }
 }

@@ -77,8 +77,9 @@ impl CandidateMode {
 
 /// One assignment round (the paper's Fig. 4 "Solve HTA" box): select the
 /// members for `round`'s cohort by `mode` (see [`CandidateMode::select`]),
-/// then solve over them through `session`. `Ok(None)` when nothing is open:
-/// then neither the session nor `rng` was touched.
+/// then solve over them through `session`. Returns the solved round with
+/// how many of its members top-k retrieval returned; `Ok(None)` when
+/// nothing is open: then neither the session nor `rng` was touched.
 pub fn assign_round(
     session: &mut OpenSetSession,
     mode: CandidateMode,
@@ -87,12 +88,14 @@ pub fn assign_round(
     available: &[bool],
     round: Round<'_>,
     rng: &mut dyn Rng,
-) -> Result<Option<RoundOutcome>, HtaError> {
-    let (members, _) = mode.select(window, index, available, &round.workers, round.xmax, rng);
+) -> Result<Option<(RoundOutcome, usize)>, HtaError> {
+    let (members, hits) = mode.select(window, index, available, &round.workers, round.xmax, rng);
     if members.is_empty() {
         return Ok(None);
     }
-    session.solve_round(members, round, rng).map(Some)
+    session
+        .solve_round(members, round, rng)
+        .map(|out| Some((out, hits)))
 }
 
 #[cfg(test)]
@@ -209,7 +212,7 @@ mod tests {
             solver: &HtaGre::new(),
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let out = assign_round(
+        let (out, hits) = assign_round(
             &mut OpenSetSession::Off,
             CandidateMode::TopK(8),
             FullWindow::All,
@@ -229,6 +232,7 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 12);
         assert!(ids.iter().all(|&t| t < 200));
+        assert!(hits <= out.members().len());
     }
 
     #[test]

@@ -431,6 +431,7 @@ proptest! {
         )
         .unwrap()
         .expect("a task is open")
+        .0
         .objective();
 
         // Eq. 3 is evaluated on the assigned tasks only, so pool-local and

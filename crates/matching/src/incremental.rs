@@ -34,6 +34,8 @@
 //! the same slice the structure was built from, which callers must guarantee
 //! — the warm-start layer in `hta-core` guards this with the edge-cache
 //! fingerprint.
+//!
+//! [`greedy_matching_presorted`]: crate::greedy_matching_presorted
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -216,10 +218,12 @@ impl IncrementalMatching {
     }
 
     /// Materialize the current matching in local (open-subset) vertex ids —
-    /// the renumbering [`filter_sorted`] applies — as a [`Matching`] over
-    /// `n_out ≥ open_list.len()` vertices, byte-identical to what
-    /// [`greedy_matching_presorted`] would produce on the filtered edge
-    /// list, including `edges()` order.
+    /// the renumbering hta-core's `DiversityEdgeCache::filter_sorted`
+    /// applies — as a [`Matching`] over `n_out ≥ open_list.len()` vertices,
+    /// byte-identical to what [`greedy_matching_presorted`] would produce
+    /// on the filtered edge list, including `edges()` order.
+    ///
+    /// [`greedy_matching_presorted`]: crate::greedy_matching_presorted
     pub fn extract(&self, edges: &[WeightedEdge], n_out: usize) -> Matching {
         debug_assert_eq!(edges.len(), self.edges_len);
         debug_assert!(n_out >= self.open_list.len());

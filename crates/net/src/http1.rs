@@ -7,7 +7,7 @@
 //! in one buffer, and connections persist — so parsing has to be a state
 //! machine over an accumulating buffer:
 //!
-//! * bytes are [`fed`](Http1Parser::feed) in as they arrive; [`Http1Parser::next`]
+//! * bytes are [`fed`](Http1Parser::feed) in as they arrive; [`Http1Parser::next_request`]
 //!   yields complete requests, `Incomplete`, or a ready-to-send error
 //!   response;
 //! * keep-alive follows HTTP/1.1 defaults (`Connection: close` honoured,

@@ -461,7 +461,7 @@ impl PlatformState {
             // Nothing open (`None`): every member gets an empty set.
             let assigned: Vec<usize> = out
                 .iter()
-                .flat_map(|out| out.tasks_of(li))
+                .flat_map(|(out, _)| out.tasks_of(li))
                 .map(|ci| ci as usize)
                 .collect();
             for &ci in &assigned {

@@ -145,7 +145,7 @@ impl SnapshotBuilder {
     /// tag, e.g. `"hta-crowd-run"`, checked by consumers on load).
     ///
     /// # Panics
-    /// Panics if `kind` exceeds [`MAX_NAME_LEN`] bytes.
+    /// Panics if `kind` exceeds 4,096 bytes.
     pub fn new(kind: &str) -> Self {
         assert!(kind.len() <= MAX_NAME_LEN, "snapshot kind too long");
         Self {
